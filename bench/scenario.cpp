@@ -14,7 +14,6 @@
 #include "algo/registry.hpp"
 #include "compare.hpp"
 #include "core/json.hpp"
-#include "core/snapshot.hpp"
 #include "graph/families.hpp"
 #include "local/dispatch.hpp"
 #include "local/simd.hpp"
@@ -27,28 +26,6 @@ double wall_ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string json_number(double v) {
@@ -66,13 +43,12 @@ struct ScenarioReport {
   ScenarioResult result;
 };
 
-/// Renders the snapshot JSON text (schema lclbench-v3). One renderer
-/// feeds both sinks: `--json` writes these bytes verbatim, `--binary`
-/// parses them into the DOM and encodes the .lclb form, so the two
-/// artifacts of one run are views of identical data by construction.
+/// Renders the snapshot JSON text (schema lclbench-v3) that `--json`
+/// writes verbatim.
 std::string render_json(const ScenarioOptions& opts,
                         const std::vector<ScenarioReport>& reports,
                         double total_wall_ms) {
+  using core::json::escape;
   std::ostringstream os;
   const std::time_t now = std::time(nullptr);
   char stamp[64];
@@ -87,11 +63,11 @@ std::string render_json(const ScenarioOptions& opts,
   os << "  \"seed\": " << opts.seed << ",\n";
   // Kernel provenance (additive to schema lclbench-v3): the resolved
   // engine path ("scalar" or "simd") every run in this snapshot used.
-  os << "  \"engine\": \"" << json_escape(opts.engine) << "\",\n";
+  os << "  \"engine\": \"" << escape(opts.engine) << "\",\n";
   // Dispatch provenance (additive to schema lclbench-v3): the resolved
   // Program↔Engine stepping contract ("pernode" or "batch") every run
   // in this snapshot used.
-  os << "  \"dispatch\": \"" << json_escape(opts.dispatch) << "\",\n";
+  os << "  \"dispatch\": \"" << escape(opts.dispatch) << "\",\n";
   // Problem-axis selection (additive to schema lclbench-v3): the
   // problem_sweep scenario's sampled-problem count and generator seed,
   // so snapshots pin exactly which LCLs were classified.
@@ -99,7 +75,7 @@ std::string render_json(const ScenarioOptions& opts,
   os << "  \"problem_seed\": " << opts.problem_seed << ",\n";
   os << "  \"families\": [";
   for (std::size_t i = 0; i < opts.families.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << json_escape(opts.families[i])
+    os << (i ? ", " : "") << "\"" << escape(opts.families[i])
        << "\"";
   }
   os << "],\n";
@@ -108,12 +84,12 @@ std::string render_json(const ScenarioOptions& opts,
   // overrides, so snapshots record the full cross-product provenance.
   os << "  \"algos\": [";
   for (std::size_t i = 0; i < opts.algos.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << json_escape(opts.algos[i]) << "\"";
+    os << (i ? ", " : "") << "\"" << escape(opts.algos[i]) << "\"";
   }
   os << "],\n";
   os << "  \"algo_opts\": [";
   for (std::size_t i = 0; i < opts.algo_opts.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << json_escape(opts.algo_opts[i])
+    os << (i ? ", " : "") << "\"" << escape(opts.algo_opts[i])
        << "\"";
   }
   os << "],\n";
@@ -122,12 +98,12 @@ std::string render_json(const ScenarioOptions& opts,
   for (std::size_t si = 0; si < reports.size(); ++si) {
     const ScenarioReport& rep = reports[si];
     os << "    {\n";
-    os << "      \"name\": \"" << json_escape(rep.name) << "\",\n";
+    os << "      \"name\": \"" << escape(rep.name) << "\",\n";
     os << "      \"wall_ms\": " << json_number(rep.wall_ms) << ",\n";
     os << "      \"metrics\": {";
     std::size_t mi = 0;
     for (const auto& [key, value] : rep.result.metrics) {
-      os << (mi++ ? ", " : "") << "\"" << json_escape(key)
+      os << (mi++ ? ", " : "") << "\"" << escape(key)
          << "\": " << json_number(value);
     }
     os << "},\n";
@@ -135,8 +111,8 @@ std::string render_json(const ScenarioOptions& opts,
     for (std::size_t i = 0; i < rep.result.series.size(); ++i) {
       const Series& s = rep.result.series[i];
       os << "        {\n";
-      os << "          \"title\": \"" << json_escape(s.title) << "\",\n";
-      os << "          \"scale_name\": \"" << json_escape(s.scale_name)
+      os << "          \"title\": \"" << escape(s.title) << "\",\n";
+      os << "          \"scale_name\": \"" << escape(s.scale_name)
          << "\",\n";
       os << "          \"predicted_lo\": " << json_number(s.predicted_lo)
          << ",\n";
@@ -181,7 +157,7 @@ std::string render_json(const ScenarioOptions& opts,
         os << ", \"status\": \"" << core::to_string(run.status) << "\""
            << ", \"valid\": " << (run.ok() ? "true" : "false");
         if (!run.ok() && !run.check_reason.empty()) {
-          os << ", \"check_reason\": \"" << json_escape(run.check_reason)
+          os << ", \"check_reason\": \"" << escape(run.check_reason)
              << "\"";
         }
         os << "}";
@@ -208,45 +184,6 @@ void write_json(const std::string& path, const std::string& text) {
   }
 }
 
-void write_binary(const std::string& path, const std::string& json_text) {
-  try {
-    core::snapshot::write_file(path, core::json::parse(json_text));
-    std::printf("wrote %s\n", path.c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "lclbench: failed to write %s: %s\n",
-                 path.c_str(), e.what());
-  }
-}
-
-/// --export: load either snapshot form, write the other (or the same)
-/// by destination extension. The JSON side goes through
-/// `core::json::dump`, the canonical serializer the golden round-trip
-/// test pins — exporting a .lclb made from a dump-canonical JSON file
-/// reproduces that file byte-identically.
-int export_snapshot(const std::string& in_path,
-                    const std::string& out_path) {
-  try {
-    const core::json::Value v = core::snapshot::load_any(in_path);
-    const bool to_binary =
-        out_path.size() >= 5 &&
-        out_path.compare(out_path.size() - 5, 5, ".lclb") == 0;
-    if (to_binary) {
-      core::snapshot::write_file(out_path, v);
-    } else {
-      std::ofstream f(out_path, std::ios::binary);
-      f << core::json::dump(v);
-      if (!f) {
-        throw std::runtime_error("cannot write " + out_path);
-      }
-    }
-    std::printf("exported %s -> %s\n", in_path.c_str(), out_path.c_str());
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "lclbench --export: %s\n", e.what());
-    return 2;
-  }
-}
-
 void print_usage() {
   std::printf(
       "lclbench — unified runner for the paper's experiment scenarios\n"
@@ -258,7 +195,7 @@ void print_usage() {
       "                [--families <csv|all>]\n"
       "                [--algos <csv|all>] [--algo-opt <k=v>]...\n"
       "                [--problems <count>] [--problem-seed <s>]\n"
-      "                [--json [path]] [--binary [path]]\n"
+      "                [--json [path]]\n"
       "       lclbench --compare <old> <new>\n"
       "                [--tol-exponent <e>] [--tol-avg <rel>]\n"
       "                [--tol-wall <ratio>] [--allow-missing]\n"
@@ -266,7 +203,6 @@ void print_usage() {
       "                [--trend-window <k>] [--tol-exponent <e>]\n"
       "                [--tol-avg <rel>] [--tol-wall <ratio>]\n"
       "                [--allow-missing]\n"
-      "       lclbench --export <in> <out>\n"
       "\n"
       "  --list          enumerate registered scenarios and exit\n"
       "  --list-algos    enumerate the algorithm registry (solvers,\n"
@@ -306,28 +242,22 @@ void print_usage() {
       "                  in the snapshot\n"
       "  --json [path]   write a BENCH_*.json snapshot (schema\n"
       "                  lclbench-v3; default path BENCH_<run>.json)\n"
-      "  --binary [path] write the same snapshot as a compact columnar\n"
-      "                  .lclb binary (default path BENCH_<run>.lclb);\n"
-      "                  lossless — `--export` recovers the JSON view\n"
       "\n"
       "  every flag except --algo-opt may be given at most once;\n"
       "  duplicates are a usage error\n"
       "\n"
-      "  --compare       diff two snapshots (JSON or .lclb, mixed\n"
-      "                  freely) and exit nonzero on regression (schema,\n"
-      "                  validity/status, exponent drift >\n"
-      "                  --tol-exponent [0.15], node-averaged drift at\n"
-      "                  matching scales > --tol-avg [off], wall-time\n"
-      "                  ratio > --tol-wall [off]); --allow-missing\n"
-      "                  downgrades missing scenarios/series to warnings\n"
+      "  --compare       diff two JSON snapshots and exit nonzero on\n"
+      "                  regression (schema, validity/status, exponent\n"
+      "                  drift > --tol-exponent [0.15], node-averaged\n"
+      "                  drift at matching scales > --tol-avg [off],\n"
+      "                  wall-time ratio > --tol-wall [off]);\n"
+      "                  --allow-missing downgrades missing\n"
+      "                  scenarios/series to warnings\n"
       "  --history       order N >= 2 snapshots by timestamp and gate\n"
       "                  trajectories: latest-vs-previous coverage and\n"
       "                  validity plus *sustained* monotone drift (of\n"
       "                  fitted exponents, node-averages, wall time)\n"
-      "                  across the last --trend-window [3] snapshots\n"
-      "  --export        convert a snapshot between the JSON and .lclb\n"
-      "                  forms (destination picked by extension); the\n"
-      "                  JSON side is canonical core::json::dump text\n");
+      "                  across the last --trend-window [3] snapshots\n");
 }
 
 /// --list-algos: one block per registered solver — paper binding,
@@ -567,8 +497,6 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
   bool list_algos = false;
   bool want_json = false;
   std::string json_path;
-  bool want_binary = false;
-  std::string binary_path;
   std::string run_name = forced_scenario;
   bool compare_mode = false;
   std::string compare_old;
@@ -577,9 +505,6 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
   bool history_mode = false;
   std::vector<std::string> history_paths;
   HistoryOptions history_opts;
-  bool export_mode = false;
-  std::string export_in;
-  std::string export_out;
 
   // Duplicate-flag detection: every flag except the deliberately
   // repeatable --algo-opt may appear at most once. Without this, the
@@ -730,10 +655,6 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
       once("--json");
       want_json = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
-    } else if (arg == "--binary") {
-      once("--binary");
-      want_binary = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') binary_path = argv[++i];
     } else if (arg == "--history") {
       once("--history");
       history_mode = true;
@@ -749,15 +670,6 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
                      "lclbench: --trend-window expects a window >= 2\n");
         std::exit(2);
       }
-    } else if (arg == "--export") {
-      once("--export");
-      export_mode = true;
-      export_in = next_value("--export");
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "lclbench: --export needs <in> <out>\n");
-        std::exit(2);
-      }
-      export_out = argv[++i];
     } else if (arg == "--compare") {
       once("--compare");
       compare_mode = true;
@@ -799,9 +711,6 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
   }
   if (history_mode) {
     return history_snapshots(history_paths, history_opts);
-  }
-  if (export_mode) {
-    return export_snapshot(export_in, export_out);
   }
   if (list) {
     for (const Scenario& s : all_scenarios()) {
@@ -916,18 +825,9 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
   }
   const double total_wall_ms = wall_ms_since(total_start);
 
-  if (want_json || want_binary) {
-    const std::string text = render_json(opts, reports, total_wall_ms);
-    if (want_json) {
-      if (json_path.empty()) json_path = "BENCH_" + run_name + ".json";
-      write_json(json_path, text);
-    }
-    if (want_binary) {
-      if (binary_path.empty()) {
-        binary_path = "BENCH_" + run_name + ".lclb";
-      }
-      write_binary(binary_path, text);
-    }
+  if (want_json) {
+    if (json_path.empty()) json_path = "BENCH_" + run_name + ".json";
+    write_json(json_path, render_json(opts, reports, total_wall_ms));
   }
   return 0;
 }

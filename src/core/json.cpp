@@ -12,6 +12,11 @@ namespace lcl::core::json {
 
 namespace {
 
+/// Deepest array/object nesting `parse` accepts. Snapshots nest 7
+/// levels; the cap keeps hostile input (a daemon request line of 100k
+/// `[`) from overflowing the stack of the recursive descent.
+constexpr int kMaxDepth = 128;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -61,8 +66,16 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -221,6 +234,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -285,10 +299,9 @@ std::string format_number(double v, const char* fallback_fmt) {
   return buf;
 }
 
-namespace {
-
-void dump_string(std::string& out, const std::string& s) {
-  out += '"';
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -309,6 +322,14 @@ void dump_string(std::string& out, const std::string& s) {
         }
     }
   }
+  return out;
+}
+
+namespace {
+
+void dump_string(std::string& out, const std::string& s) {
+  out += '"';
+  out += escape(s);
   out += '"';
 }
 
@@ -378,7 +399,11 @@ Value parse_file(const std::string& path) {
   std::ostringstream buf;
   buf << f.rdbuf();
   if (!f && !f.eof()) throw std::runtime_error("json: cannot read " + path);
-  return parse(buf.str());
+  try {
+    return parse(buf.str());
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(e.what()) + " in " + path);
+  }
 }
 
 }  // namespace lcl::core::json

@@ -57,8 +57,8 @@ struct Value {
 /// byte offset on malformed input or trailing garbage.
 [[nodiscard]] Value parse(std::string_view text);
 
-/// Reads and parses a file. Throws `std::runtime_error` if the file
-/// cannot be read or does not parse.
+/// Reads and parses a file. Throws `std::runtime_error` naming the file
+/// if it cannot be read or does not parse.
 [[nodiscard]] Value parse_file(const std::string& path);
 
 /// Shared JSON number formatting: non-finite values become "null",
@@ -69,6 +69,12 @@ struct Value {
 /// passes "%.6g" for compact files, `dump` "%.17g" for exact
 /// round-trips). Single source of truth for the integral cutoff.
 [[nodiscard]] std::string format_number(double v, const char* fallback_fmt);
+
+/// Escapes `s` as the body of a JSON string (no surrounding quotes):
+/// `"` and `\`, the short forms \b \f \n \r \t, and \u00XX for
+/// the other control characters. Every JSON writer in the tree (`dump`,
+/// the snapshot writer, the daemon's responses) escapes through this.
+[[nodiscard]] std::string escape(std::string_view s);
 
 /// Serializes a Value into a canonical, deterministic text form:
 /// 2-space-indented objects/arrays with keys in stored (file) order,

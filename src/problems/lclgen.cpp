@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -46,15 +47,7 @@ struct MultisetCache {
   std::array<int, kKeySpace> index_by_key{};
 };
 
-const MultisetCache& cache_for(int alphabet, int degree) {
-  if (alphabet < 1 || alphabet > kMaxAlphabet || degree < 1 ||
-      degree > kMaxTableDegree) {
-    throw std::invalid_argument("lclgen: alphabet/degree out of range");
-  }
-  static std::map<std::pair<int, int>, MultisetCache> caches;
-  auto it = caches.find({alphabet, degree});
-  if (it != caches.end()) return it->second;
-
+MultisetCache build_cache(int alphabet, int degree) {
   MultisetCache c;
   c.index_by_key.fill(-1);
   std::vector<int> cur(static_cast<std::size_t>(degree), 0);
@@ -69,8 +62,26 @@ const MultisetCache& cache_for(int alphabet, int degree) {
     const int v = cur[static_cast<std::size_t>(i)] + 1;
     for (int j = i; j < degree; ++j) cur[static_cast<std::size_t>(j)] = v;
   }
-  return caches.emplace(std::make_pair(alphabet, degree), std::move(c))
-      .first->second;
+  return c;
+}
+
+const MultisetCache& cache_for(int alphabet, int degree) {
+  if (alphabet < 1 || alphabet > kMaxAlphabet || degree < 1 ||
+      degree > kMaxTableDegree) {
+    throw std::invalid_argument("lclgen: alphabet/degree out of range");
+  }
+  // Built on first use, once per (alphabet, degree): lcld's worker
+  // threads classify concurrently, so the build must be race-free.
+  constexpr std::size_t kSlots = kMaxAlphabet * kMaxTableDegree;
+  static std::array<std::once_flag, kSlots> built;
+  static std::array<std::unique_ptr<const MultisetCache>, kSlots> caches;
+  const auto slot =
+      static_cast<std::size_t>((alphabet - 1) * kMaxTableDegree + degree - 1);
+  std::call_once(built[slot], [&] {
+    caches[slot] =
+        std::make_unique<const MultisetCache>(build_cache(alphabet, degree));
+  });
+  return *caches[slot];
 }
 
 }  // namespace

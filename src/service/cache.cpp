@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/json.hpp"
 #include "core/landscape.hpp"
 #include "service/protocol.hpp"
 
 namespace lcl::service {
 
 namespace {
+
+using core::json::escape;
 
 /// FNV-1a over the key picks the shard; the canonical-key alphabet is
 /// tiny (hex + separators), so a real mixing hash matters.
@@ -131,7 +134,7 @@ std::string render_classify_body(const std::string& key,
                                  const problems::Classification& cls,
                                  const problems::TreeTesting& testing) {
   std::string out = "\"ok\":true,\"type\":\"classify\",\"key\":\"";
-  out += json_escape(key);
+  out += escape(key);
   out += "\",\"alphabet\":" + std::to_string(canonical.alphabet);
   out += ",\"max_degree\":" + std::to_string(canonical.max_degree);
   out += ",\"predicted\":\"" + problems::to_string(cls.predicted);
@@ -142,12 +145,12 @@ std::string render_classify_body(const std::string& key,
   out += cls.testing_good ? "true" : "false";
   out += ",\"constant_good\":";
   out += cls.constant_good ? "true" : "false";
-  out += ",\"rationale\":\"" + json_escape(cls.rationale);
-  out += "\",\"region\":{\"range\":\"" + json_escape(cls.region.range);
+  out += ",\"rationale\":\"" + escape(cls.rationale);
+  out += "\",\"region\":{\"range\":\"" + escape(cls.region.range);
   out += "\",\"kind\":\"" + core::to_string(cls.region.kind);
   out += "\",\"provenance\":\"" + core::to_string(cls.region.provenance);
-  out += "\",\"source\":\"" + json_escape(cls.region.source);
-  out += "\",\"witness\":\"" + json_escape(cls.region.witness);
+  out += "\",\"source\":\"" + escape(cls.region.source);
+  out += "\",\"witness\":\"" + escape(cls.region.witness);
   out += "\"},\"reachable_sets\":" + std::to_string(testing.reachable_sets);
   out += ",\"witness_nodes\":" +
          std::to_string(testing.has_witness
@@ -155,7 +158,7 @@ std::string render_classify_body(const std::string& key,
                                   testing.witness.size())
                             : 0);
   if (!testing.good) {
-    out += ",\"witness_failure\":\"" + json_escape(testing.failure) + "\"";
+    out += ",\"witness_failure\":\"" + escape(testing.failure) + "\"";
   }
   out += "}";
   return out;

@@ -1,7 +1,6 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "core/json.hpp"
@@ -274,30 +273,6 @@ problems::BwTable request_table(const Request& req) {
   return problems::sample_table(req.problem_seed);
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string envelope_prefix(bool has_id, std::int64_t id) {
   if (!has_id) return "{";
   return "{\"id\":" + std::to_string(id) + ",";
@@ -309,7 +284,7 @@ std::string render_error(bool has_id, std::int64_t id, ErrorCode code,
   out += "\"ok\":false,\"error\":\"";
   out += to_string(code);
   out += "\",\"detail\":\"";
-  out += json_escape(detail);
+  out += core::json::escape(detail);
   out += "\"}";
   return out;
 }

@@ -110,9 +110,6 @@ struct Request {
 /// caller strips/canonicalizes via the cache; this only materializes.
 [[nodiscard]] problems::BwTable request_table(const Request& req);
 
-/// JSON string escaping for the single-line response writers.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// `{"id":N,` when the request carried an id, else `{`. Every response
 /// body is appended after this prefix.
 [[nodiscard]] std::string envelope_prefix(bool has_id, std::int64_t id);

@@ -13,6 +13,8 @@ namespace lcl::service {
 
 namespace {
 
+using core::json::escape;
+
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -274,11 +276,11 @@ std::string Server::run_solve(const Request& req) {
 
   std::string out = envelope_prefix(req.has_id, req.id);
   out += "\"ok\":true,\"type\":\"solve\",\"solver\":\"";
-  out += json_escape(req.solver);
-  out += "\",\"family\":\"" + json_escape(req.family);
+  out += escape(req.solver);
+  out += "\",\"family\":\"" + escape(req.family);
   out += "\",\"n\":" + std::to_string(r.n);
   if (entry != nullptr) {
-    out += ",\"key\":\"" + json_escape(entry->key) + "\"";
+    out += ",\"key\":\"" + escape(entry->key) + "\"";
     out += ",\"predicted\":\"" +
            problems::to_string(entry->cls.predicted) + "\"";
   }
@@ -287,7 +289,7 @@ std::string Server::run_solve(const Request& req) {
   out += "\",\"certified\":";
   out += r.ok() ? "true" : "false";
   if (!r.check_reason.empty()) {
-    out += ",\"check_reason\":\"" + json_escape(r.check_reason) + "\"";
+    out += ",\"check_reason\":\"" + escape(r.check_reason) + "\"";
   }
   out += ",\"node_averaged\":" +
          core::json::format_number(r.node_averaged, "%.17g");

@@ -133,29 +133,23 @@ TEST(CliHardening, MissingValue) {
 }
 
 TEST(CliHardening, TrendWindowMustBeAtLeastTwo) {
-  expect_cli_failure({"--history", "a.lclb", "b.lclb", "--trend-window",
+  expect_cli_failure({"--history", "a.json", "b.json", "--trend-window",
                       "1"},
                      "lclbench: --trend-window expects a window >= 2");
 }
 
-TEST(CliHardening, ExportNeedsBothPaths) {
-  expect_cli_failure({"--export", "only_in.json"},
-                     "lclbench: --export needs <in> <out>");
-  expect_cli_failure({"--export"}, "lclbench: --export requires a value");
-}
-
 TEST(CliHardening, HistoryNeedsTwoSnapshots) {
-  expect_cli_failure({"--history", "only_one.lclb"},
+  expect_cli_failure({"--history", "only_one.json"},
                      "lclbench --history: needs at least 2 snapshots");
   expect_cli_failure({"--history"},
                      "lclbench: --history requires a value");
 }
 
 TEST(CliHardening, DuplicateSnapshotModeFlags) {
-  expect_cli_failure({"--binary", "a.lclb", "--binary", "b.lclb"},
-                     "lclbench: duplicate --binary");
-  expect_cli_failure({"--export", "a", "b", "--export", "c", "d"},
-                     "lclbench: duplicate --export");
+  expect_cli_failure({"--compare", "a", "b", "--compare", "c", "d"},
+                     "lclbench: duplicate --compare");
+  expect_cli_failure({"--history", "a", "b", "--history", "c", "d"},
+                     "lclbench: duplicate --history");
 }
 
 TEST(CliHardening, RepeatableAlgoOptStaysRepeatable) {

@@ -109,6 +109,25 @@ TEST(Json, RejectsMalformedInput) {
                std::runtime_error);
 }
 
+TEST(Json, NestingDepthIsCapped) {
+  // 128 levels parse; one more is the parser's usual positioned error
+  // rather than a stack overflow, however deep the input goes.
+  const std::string at_cap = std::string(128, '[') + std::string(128, ']');
+  EXPECT_TRUE(json::parse(at_cap).is_array());
+  try {
+    (void)json::parse(std::string(129, '[') + std::string(129, ']'));
+    ADD_FAILURE() << "129 levels parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "json: nesting deeper than 128 at byte 128");
+  }
+  std::string objects;
+  for (int i = 0; i < 200; ++i) objects += "{\"k\": ";
+  objects += "0" + std::string(200, '}');
+  EXPECT_THROW((void)json::parse(objects), std::runtime_error);
+  EXPECT_THROW((void)json::parse(std::string(100000, '[')),
+               std::runtime_error);
+}
+
 /// A small but schema-faithful v3 snapshot.
 std::string snapshot(const std::string& schema, double exponent,
                      const std::string& run2_status) {
@@ -248,6 +267,9 @@ TEST(Compare, UnreadableSnapshotIsUsageError) {
             2);
   const std::string bad_path = write_temp("bad.json", "{not json");
   EXPECT_EQ(compare_snapshots(ok_path, bad_path, CompareOptions{}), 2);
+  const std::string deep_path =
+      write_temp("deep.json", std::string(100000, '['));
+  EXPECT_EQ(compare_snapshots(deep_path, deep_path, CompareOptions{}), 2);
 }
 
 }  // namespace

@@ -67,6 +67,16 @@ TEST(JsonRoundTrip, DumpParseIsIdempotent) {
   const std::string once = core::json::dump(v);
   const std::string twice = core::json::dump(core::json::parse(once));
   EXPECT_EQ(once, twice);
+
+  // Every control character plus `"` and `\` survive escape -> parse,
+  // and none is written raw.
+  std::string specials = "\"\\";
+  for (int c = 0; c < 0x20; ++c) specials += static_cast<char>(c);
+  const std::string escaped = core::json::escape(specials);
+  for (const char c : escaped) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << escaped;
+  }
+  EXPECT_EQ(core::json::parse("\"" + escaped + "\"").str, specials);
 }
 
 TEST(JsonRoundTrip, IntegralDoublesPrintAsIntegers) {

@@ -138,9 +138,13 @@ TEST(ProblemCache, EvictionOrderFollowsTouchRecencyNotInsertion) {
 
 TEST(ServiceProtocol, MalformedJsonIsBadJson) {
   Server server(ServerOptions{});
-  const Value v = parse(server.handle_line("this is not json"));
-  EXPECT_FALSE(v.get_bool("ok", true));
-  EXPECT_EQ(v.get_string("error", ""), "bad_json");
+  // 100k `[` once overflowed the recursive-descent parser's stack.
+  for (const std::string& line :
+       {std::string("this is not json"), std::string(100000, '[')}) {
+    const Value v = parse(server.handle_line(line));
+    EXPECT_FALSE(v.get_bool("ok", true));
+    EXPECT_EQ(v.get_string("error", ""), "bad_json");
+  }
 }
 
 TEST(ServiceProtocol, UnknownTypeIsTyped) {
@@ -416,9 +420,15 @@ using service::Transport;
 using service::TransportOptions;
 using service::TransportStats;
 
-int tcp_connect(int port) {
+/// `rcvbuf_bytes` > 0 shrinks the client's receive buffer (set before
+/// connect, so the advertised window honours it).
+int tcp_connect(int port, int rcvbuf_bytes = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  if (rcvbuf_bytes > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
+                 sizeof(rcvbuf_bytes));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -600,16 +610,22 @@ TEST(ServiceTransport, WriteBacklogStallsReadsAndResumes) {
   const std::string expected = server.handle_line(request);  // prewarm
 
   // Pipeline a burst whose responses exceed what the shrunken kernel
-  // buffers can absorb, then refuse to read for a while: the supervisor
-  // must park the connection (bounded backlog, reads paused) instead of
-  // buffering every rendered response.
+  // buffers (the daemon's send side and the client's receive side) can
+  // absorb, then refuse to read until the supervisor has parked the
+  // connection (bounded backlog, reads paused) instead of buffering
+  // every rendered response.
   constexpr int kBurst = 64;
   std::string batch;
   for (int i = 0; i < kBurst; ++i) batch += request + "\n";
-  const int fd = tcp_connect(transport.port());
+  const int fd = tcp_connect(transport.port(), /*rcvbuf_bytes=*/1);
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, batch));
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (transport.stats().read_pauses < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 
   const TransportStats stalled = transport.stats();
   EXPECT_GE(stalled.read_pauses, 1u) << "reads never paused";
@@ -889,6 +905,40 @@ TEST(ServiceTransport, OversizedUnframedLineIsRejectedNotBuffered) {
   EXPECT_FALSE(v.get_bool("ok", true));
   EXPECT_EQ(v.get_string("error", ""), "bad_request");
   ::close(fd);
+  transport.stop();
+}
+
+TEST(ServiceTransport, DeeplyNestedLineGetsBadJsonAndDaemonKeepsServing) {
+  ServerOptions sopts;
+  sopts.threads = 1;
+  Server server(sopts);
+  TransportOptions topts;
+  topts.tcp_host = "127.0.0.1";
+  topts.poll_ms = 20;
+  Transport transport(server, topts);
+  transport.listen_now();
+  transport.start();
+
+  const int first = tcp_connect(transport.port());
+  ASSERT_GE(first, 0);
+  ASSERT_TRUE(send_all(first, std::string(100000, '[') + "\n"));
+  std::string buf;
+  std::string line;
+  ASSERT_TRUE(read_line(first, buf, line));
+  const Value v = parse(line);
+  EXPECT_FALSE(v.get_bool("ok", true));
+  EXPECT_EQ(v.get_string("error", ""), "bad_json");
+  ::close(first);
+
+  const std::string request = classify_line(42);
+  const std::string expected = server.handle_line(request);
+  const int second = tcp_connect(transport.port());
+  ASSERT_GE(second, 0);
+  ASSERT_TRUE(send_all(second, request + "\n"));
+  buf.clear();
+  ASSERT_TRUE(read_line(second, buf, line));
+  EXPECT_EQ(line, expected);
+  ::close(second);
   transport.stop();
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <stdexcept>
 
 #include "algo/connect_paths.hpp"
@@ -55,18 +54,33 @@ DFreeResult run_dfree_algorithm_a(const Tree& tree,
 
   // --- Connect rule -------------------------------------------------
   // Exactly the nodes on a path of length <= connect_bound between two
-  // input-A nodes output Connect: BFS from each A-node to the bound with
-  // parent recording, then walk back the unique tree path from every
-  // other A-node discovered. (Within a weight component, balls from
-  // distinct A-nodes stay inside the component, so the total work is
-  // linear for the paper's instances.)
-  mark_connect_paths(tree, participates, is_a, connect_bound,
-                     [&](NodeId v) {
-                       res.output[static_cast<std::size_t>(v)] =
-                           static_cast<int>(WeightOut::kConnect);
-                     });
+  // input-A nodes output Connect. mark_connect_paths computes, per node,
+  // its nearest input-A node in every direction (self, the two best
+  // child subtrees, through the parent) in O(n) total, whatever the
+  // number of A-nodes or the diameter of a weight component.
+  const std::vector<char> connect =
+      mark_connect_paths(tree, participates, is_a, connect_bound);
+  for (NodeId v = 0; v < n; ++v) {
+    if (connect[static_cast<std::size_t>(v)]) {
+      res.output[static_cast<std::size_t>(v)] =
+          static_cast<int>(WeightOut::kConnect);
+    }
+  }
 
   // --- A* assignment around each non-Connect A-node ------------------
+  // Two non-Connect A-nodes are more than connect_bound = 2*ball_radius
+  // apart, so their balls are disjoint and the total ball work is O(n).
+  // The scratch below is allocated once; `in_ball` is reset per ball.
+  std::vector<char> in_ball(static_cast<std::size_t>(n), 0);
+  std::vector<NodeId> order;           // BFS order of the ball
+  std::vector<std::int32_t> parent_at; // index in order of the BFS parent
+  std::vector<std::int32_t> depth_of;  // parallel to order
+  // BFS appends each node's children consecutively: the children of
+  // order[i] are order[kids_end[i-1] .. kids_end[i]) (kids_end[-1] = 1).
+  std::vector<std::int32_t> kids_end;
+  std::vector<std::int64_t> subtree;
+  std::vector<std::int32_t> kids;      // one node's children, sorted
+  std::vector<std::int32_t> frontier;  // A* queue (indices into order)
   for (NodeId v = 0; v < n; ++v) {
     if (!in(v) || !is_a[static_cast<std::size_t>(v)]) continue;
     if (res.output[static_cast<std::size_t>(v)] ==
@@ -76,73 +90,63 @@ DFreeResult run_dfree_algorithm_a(const Tree& tree,
 
     // BFS ball of radius ball_radius rooted at v; record parents so the
     // ball is a rooted tree.
-    std::vector<NodeId> order;           // BFS order
-    std::vector<NodeId> parent_of;       // parallel to order
-    std::vector<int> depth_of;           // parallel to order
-    std::vector<std::int64_t> ball_idx(  // node -> index in order, or -1
-        static_cast<std::size_t>(n), -1);
-    {
-      std::deque<NodeId> q{v};
-      ball_idx[static_cast<std::size_t>(v)] = 0;
-      order.push_back(v);
-      parent_of.push_back(graph::kInvalidNode);
-      depth_of.push_back(0);
-      std::size_t head = 0;
-      while (head < order.size()) {
-        const NodeId u = order[head];
-        const int du = depth_of[head];
-        ++head;
-        if (du == ball_radius) continue;
+    order.assign(1, v);
+    parent_at.assign(1, -1);
+    depth_of.assign(1, 0);
+    kids_end.clear();
+    in_ball[static_cast<std::size_t>(v)] = 1;
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const NodeId u = order[head];
+      const std::int32_t du = depth_of[head];
+      if (du < ball_radius) {
         for (NodeId w : tree.neighbors(u)) {
-          if (!in(w) || ball_idx[static_cast<std::size_t>(w)] >= 0) continue;
-          ball_idx[static_cast<std::size_t>(w)] =
-              static_cast<std::int64_t>(order.size());
+          if (!in(w) || in_ball[static_cast<std::size_t>(w)]) continue;
+          in_ball[static_cast<std::size_t>(w)] = 1;
           order.push_back(w);
-          parent_of.push_back(u);
+          parent_at.push_back(static_cast<std::int32_t>(head));
           depth_of.push_back(du + 1);
         }
       }
+      kids_end.push_back(static_cast<std::int32_t>(order.size()));
     }
+    for (NodeId u : order) in_ball[static_cast<std::size_t>(u)] = 0;
 
     // Subtree sizes within the ball (children are later in BFS order).
-    std::vector<std::int64_t> subtree(order.size(), 1);
+    subtree.assign(order.size(), 1);
     for (std::size_t i = order.size(); i-- > 1;) {
-      const std::int64_t pi =
-          ball_idx[static_cast<std::size_t>(parent_of[i])];
-      subtree[static_cast<std::size_t>(pi)] += subtree[i];
-    }
-    std::vector<std::vector<std::size_t>> children(order.size());
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      children[static_cast<std::size_t>(
-                   ball_idx[static_cast<std::size_t>(parent_of[i])])]
-          .push_back(i);
+      subtree[static_cast<std::size_t>(parent_at[i])] += subtree[i];
     }
 
     // A*: root Copy; every Copy node Declines its min(d, #children)
     // heaviest child subtrees, keeps the rest Copy.
-    std::deque<std::size_t> q{0};
     res.output[static_cast<std::size_t>(v)] =
         static_cast<int>(WeightOut::kCopy);
     res.copy_root[static_cast<std::size_t>(v)] = v;
     res.copy_depth[static_cast<std::size_t>(v)] = 0;
-    while (!q.empty()) {
-      const std::size_t i = q.front();
-      q.pop_front();
-      auto kids = children[i];
+    frontier.assign(1, 0);
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const std::size_t i = static_cast<std::size_t>(frontier[head]);
+      kids.clear();
+      for (std::int32_t c = i == 0 ? 1 : kids_end[i - 1]; c < kids_end[i];
+           ++c) {
+        kids.push_back(c);
+      }
       std::sort(kids.begin(), kids.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return subtree[a] > subtree[b];
+                [&](std::int32_t a, std::int32_t b) {
+                  return subtree[static_cast<std::size_t>(a)] >
+                         subtree[static_cast<std::size_t>(b)];
                 });
       const std::size_t to_decline =
           std::min<std::size_t>(static_cast<std::size_t>(d), kids.size());
       for (std::size_t c = to_decline; c < kids.size(); ++c) {
-        const std::size_t child = kids[c];
-        const NodeId w = order[child];
+        const std::int32_t child = kids[c];
+        const NodeId w = order[static_cast<std::size_t>(child)];
         res.output[static_cast<std::size_t>(w)] =
             static_cast<int>(WeightOut::kCopy);
         res.copy_root[static_cast<std::size_t>(w)] = v;
-        res.copy_depth[static_cast<std::size_t>(w)] = depth_of[child];
-        q.push_back(child);
+        res.copy_depth[static_cast<std::size_t>(w)] =
+            depth_of[static_cast<std::size_t>(child)];
+        frontier.push_back(child);
       }
       // Declined subtrees stay at the default Decline.
     }

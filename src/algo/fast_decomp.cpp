@@ -204,10 +204,13 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
 
   // --- Pre-step: Connect paths between input-A nodes within distance 5.
   constexpr std::int64_t kBound = 5;
-  mark_connect_paths(tree, participates, is_a, kBound, [&](NodeId v) {
+  const std::vector<char> connect =
+      mark_connect_paths(tree, participates, is_a, kBound);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!connect[static_cast<std::size_t>(v)]) continue;
     pl.plan.role[static_cast<std::size_t>(v)] = FdaRole::kConnect;
     pl.plan.ready_round[static_cast<std::size_t>(v)] = kBound + 1;
-  });
+  }
 
   // Alive = participants that did not output Connect.
   std::int64_t alive_count = 0;
@@ -226,14 +229,23 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     return deg;
   };
 
+  // Per-iteration scratch, allocated once. Each flag is set only on the
+  // nodes of its list and cleared through that list, so an iteration
+  // costs no O(n) allocation or fill.
+  std::vector<NodeId> rake_set;
+  std::vector<char> in_rake(static_cast<std::size_t>(n), 0);
+  std::vector<NodeId> chain_nodes;  // alive degree-2 nodes
+  std::vector<char> is_chain(static_cast<std::size_t>(n), 0);
+  std::vector<char> visited(static_cast<std::size_t>(n), 0);
+
   int iter = 0;
   while (alive_count > 0) {
     ++iter;
     const std::int64_t round = kRoundsPerIter * iter;
 
     // ---- Rake step.
-    std::vector<NodeId> rake_set;
-    std::vector<char> in_rake(static_cast<std::size_t>(n), 0);
+    for (NodeId v : rake_set) in_rake[static_cast<std::size_t>(v)] = 0;
+    rake_set.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (pl.alive[static_cast<std::size_t>(v)] && alive_degree(v) <= 1) {
         rake_set.push_back(v);
@@ -277,13 +289,17 @@ FastDecompPlan run_fast_decomposition(const Tree& tree,
     alive_count -= static_cast<std::int64_t>(rake_set.size());
 
     // ---- Relaxed compress step (ell = 3).
-    std::vector<char> is_chain(static_cast<std::size_t>(n), 0);
+    for (NodeId v : chain_nodes) {
+      is_chain[static_cast<std::size_t>(v)] = 0;
+      visited[static_cast<std::size_t>(v)] = 0;
+    }
+    chain_nodes.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (pl.alive[static_cast<std::size_t>(v)] && alive_degree(v) == 2) {
         is_chain[static_cast<std::size_t>(v)] = 1;
+        chain_nodes.push_back(v);
       }
     }
-    std::vector<char> visited(static_cast<std::size_t>(n), 0);
     for (NodeId v = 0; v < n; ++v) {
       if (!is_chain[static_cast<std::size_t>(v)] ||
           visited[static_cast<std::size_t>(v)]) {

@@ -145,6 +145,76 @@ TEST(DFree, CopyComponentContainsExactlyOneANode) {
   }
 }
 
+TEST(DFree, ManySpacedANodesEachOwnOneCopyComponent) {
+  // A caterpillar (spine 0..1999, two legs per spine node) with an A-node
+  // every 25 spine steps: 80 A-nodes, each farther than the Connect bound
+  // from the next, so none connects and every one grows its own A* ball
+  // out of the shared, per-ball-reset scratch.
+  const NodeId spine = 2000;
+  const NodeId spacing = 25;
+  const int d = 2;
+  Tree t = graph::make_caterpillar(spine, 2);
+  const NodeId n = t.size();
+  // connect_bound = 2 * ceil(log_3 6000) + 2 = 18 < spacing.
+  ASSERT_EQ(n, 6000);
+  std::vector<char> part(static_cast<std::size_t>(n), 1);
+  std::vector<char> is_a(static_cast<std::size_t>(n), 0);
+  for (NodeId v = 0; v < spine; v += spacing) {
+    is_a[static_cast<std::size_t>(v)] = 1;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    t.set_input(v, static_cast<int>(is_a[static_cast<std::size_t>(v)]
+                                        ? problems::DFreeInput::kA
+                                        : problems::DFreeInput::kW));
+  }
+  const auto res = algo::run_dfree_algorithm_a(t, part, is_a, d, n);
+  test::assert_valid(problems::check_dfree_weight(t, d, res.output));
+
+  // Label the Copy components (connected through Copy-Copy edges) and
+  // count the A-nodes in each.
+  const int copy = static_cast<int>(WeightOut::kCopy);
+  std::vector<int> comp(static_cast<std::size_t>(n), -1);
+  std::vector<int> a_count;
+  for (NodeId s = 0; s < n; ++s) {
+    if (res.output[static_cast<std::size_t>(s)] != copy ||
+        comp[static_cast<std::size_t>(s)] >= 0) {
+      continue;
+    }
+    const int id = static_cast<int>(a_count.size());
+    a_count.push_back(0);
+    std::vector<NodeId> stack{s};
+    comp[static_cast<std::size_t>(s)] = id;
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      if (is_a[static_cast<std::size_t>(u)]) ++a_count.back();
+      for (NodeId w : t.neighbors(u)) {
+        if (res.output[static_cast<std::size_t>(w)] == copy &&
+            comp[static_cast<std::size_t>(w)] < 0) {
+          comp[static_cast<std::size_t>(w)] = id;
+          stack.push_back(w);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(a_count.size(), static_cast<std::size_t>(spine / spacing));
+  for (std::size_t c = 0; c < a_count.size(); ++c) {
+    EXPECT_EQ(a_count[c], 1) << "Copy component " << c;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    EXPECT_NE(res.output[vi], static_cast<int>(WeightOut::kConnect));
+    if (is_a[vi]) EXPECT_EQ(res.output[vi], copy) << "A-node " << v;
+    if (res.output[vi] == copy) {
+      // The recorded root is the component's A-node.
+      const NodeId root = res.copy_root[vi];
+      ASSERT_NE(root, graph::kInvalidNode);
+      EXPECT_TRUE(is_a[static_cast<std::size_t>(root)]);
+      EXPECT_EQ(comp[static_cast<std::size_t>(root)], comp[vi]);
+    }
+  }
+}
+
 TEST(DFree, ViewRadiusIsLogarithmic) {
   auto inst = weight_tree_instance(10000, 5);
   const auto res = algo::run_dfree_algorithm_a(

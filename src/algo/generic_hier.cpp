@@ -181,7 +181,8 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
   }
 
   // 2. Forward: toward port[s] goes the wave of the other side.
-  local::Register out(kWaveRegSize, kNoEntry);
+  std::int64_t out[kWaveRegSize] = {kNoEntry, kNoEntry, kNoEntry,
+                                    kNoEntry, kNoEntry, kNoEntry};
   bool publish = false;
   for (int s = 0; s < 2; ++s) {
     const int other = 1 - s;
@@ -192,7 +193,7 @@ void GenericHierProgram::wave_round(local::NodeCtx& ctx, int phase) {
     out[base + 2] = w.dist[other];
     publish = true;
   }
-  if (publish) ctx.publish(out);
+  if (publish) ctx.publish(local::RegView(out, kWaveRegSize));
 
   // 3. Decide.
   if (w.src[0] >= 0 && w.src[1] >= 0) {
@@ -309,27 +310,29 @@ void GenericHierProgram::on_round(local::NodeCtx& ctx) {
 
 // --- Batch-dispatch lane kernels ------------------------------------
 // Span-level twins of on_init/on_round (the pinned per-node reference).
-// The per-round phase — constant across the whole alive span — is
-// computed once instead of per node, neighbors resolve through the raw
-// CSR, and neighbor state reads go through BatchCtx's committed-plane
-// views (`reg`, `terminated_visible`), which by construction see only
-// round-start state. All writes are staged into the member lanes and
-// flushed at the end of the span: registers as one width-6 wave lane
-// plus one width-1 CV lane, terminations as a per-node output lane.
-// Since per-node writes also only become visible at the end-of-round
-// flip, the deferral is unobservable and the schedule is bit-identical
-// (pinned by the generic_hier case in tests/test_differential.cpp).
+// The per-round phase — constant across the whole span — is computed
+// once instead of per node, neighbors resolve through the raw CSR, and
+// neighbor state reads go through BatchCtx's committed-plane views
+// (`reg`, `terminated_visible`), which by construction see only
+// round-start state, so publishing and terminating straight through
+// `batch` is unobservable until the end-of-round flip.
+//
+// Idle nodes sleep (BatchCtx::sleep_until). Before its own phase a node
+// can only Exempt, and Exempt reacts to a neighbor's termination, which
+// wakes it; so it sleeps until its phase starts. Inside a wave phase a
+// node that neither publishes nor decides changes state only when a
+// neighbor's wave reaches it, i.e. after that neighbor publishes; so it
+// sleeps until the Decline deadline (or, in the deadline-free last 2.5
+// phase, until woken). The schedule stays bit-identical to per-node
+// dispatch (pinned by the generic_hier case in
+// tests/test_differential.cpp).
 
 void GenericHierProgram::on_init_batch(local::BatchCtx& batch,
                                        local::NodeSpan nodes) {
-  batch_term_nodes_.clear();
   for (const NodeId v : nodes) {
-    if (!is_active(v)) continue;
-    if (level(v) == opt_.k + 1) batch_term_nodes_.push_back(v);
-  }
-  if (!batch_term_nodes_.empty()) {
-    batch.terminate_lane(batch_term_nodes_,
-                         local::Output{static_cast<int>(Color::kE), -1});
+    if (is_active(v) && level(v) == opt_.k + 1) {
+      batch.terminate(v, static_cast<int>(Color::kE));
+    }
   }
 }
 
@@ -353,9 +356,7 @@ bool GenericHierProgram::try_exempt_batch(local::BatchCtx& batch,
               "generic: Exempt fired after own phase started (scheduling "
               "gap too small)");
         }
-        batch_term_nodes_.push_back(v);
-        batch_term_outputs_.push_back(
-            local::Output{static_cast<int>(Color::kE), -1});
+        batch.terminate(v, static_cast<int>(Color::kE));
         return true;
       }
     }
@@ -379,9 +380,7 @@ bool GenericHierProgram::try_exempt_batch(local::BatchCtx& batch,
       if (cu == Color::kD) has_decline = true;
     }
     if (all_done && has_colored && !has_decline) {
-      batch_term_nodes_.push_back(v);
-      batch_term_outputs_.push_back(
-          local::Output{static_cast<int>(Color::kE), -1});
+      batch.terminate(v, static_cast<int>(Color::kE));
       return true;
     }
   }
@@ -436,7 +435,7 @@ void GenericHierProgram::wave_round_batch(local::BatchCtx& batch, NodeId v,
     }
   }
 
-  // 2. Forward, staged as one row of the width-6 wave lane.
+  // 2. Forward.
   std::int64_t out[kWaveRegSize] = {kNoEntry, kNoEntry, kNoEntry,
                                     kNoEntry, kNoEntry, kNoEntry};
   bool publish = false;
@@ -449,30 +448,31 @@ void GenericHierProgram::wave_round_batch(local::BatchCtx& batch, NodeId v,
     out[base + 2] = w.dist[other];
     publish = true;
   }
-  if (publish) {
-    wave_nodes_.push_back(v);
-    wave_words_.insert(wave_words_.end(), out, out + kWaveRegSize);
-  }
+  if (publish) batch.publish(v, local::RegView(out, kWaveRegSize));
 
   // 3. Decide.
   if (w.src[0] >= 0 && w.src[1] >= 0) {
     const std::int64_t len = w.dist[0] + w.dist[1] + 1;
-    batch_term_nodes_.push_back(v);
     if (!last_phase && len >= gamma) {
-      batch_term_outputs_.push_back(
-          local::Output{static_cast<int>(Color::kD), -1});
+      batch.terminate(v, static_cast<int>(Color::kD));
       return;
     }
     const int anchor = (w.src[0] <= w.src[1]) ? 0 : 1;
     const bool even = (w.dist[anchor] % 2 == 0);
-    batch_term_outputs_.push_back(local::Output{
-        static_cast<int>(even ? Color::kW : Color::kB), -1});
+    batch.terminate(v, static_cast<int>(even ? Color::kW : Color::kB));
     return;
   }
   if (!last_phase && t >= gamma + 2) {
-    batch_term_nodes_.push_back(v);
-    batch_term_outputs_.push_back(
-        local::Output{static_cast<int>(Color::kD), -1});
+    batch.terminate(v, static_cast<int>(Color::kD));
+    return;
+  }
+  // Idle: only a neighbor's publish (which wakes us) or the deadline
+  // round phase_start + gamma + 1 can change anything.
+  if (!publish) {
+    batch.sleep_until(
+        v, last_phase ? local::BatchCtx::kUntilWoken
+                      : phase_start_[static_cast<std::size_t>(phase)] +
+                            gamma + 1);
   }
 }
 
@@ -486,9 +486,8 @@ void GenericHierProgram::cv_round_batch(local::BatchCtx& batch, NodeId v) {
   const auto begin = static_cast<std::size_t>(off[v]);
   const auto degree = static_cast<std::size_t>(off[v + 1]) - begin;
 
-  const auto stage_color = [&] {
-    cv_nodes_.push_back(v);
-    cv_words_.push_back(color_[static_cast<std::size_t>(v)]);
+  const auto publish_color = [&] {
+    batch.publish(v, {color_[static_cast<std::size_t>(v)]});
   };
 
   if (t == 1) {
@@ -504,7 +503,7 @@ void GenericHierProgram::cv_round_batch(local::BatchCtx& batch, NodeId v) {
       throw std::logic_error("generic: level-k path with degree > 2");
     }
     color_[static_cast<std::size_t>(v)] = tree_.local_id(v);
-    stage_color();
+    publish_color();
     return;
   }
 
@@ -520,7 +519,7 @@ void GenericHierProgram::cv_round_batch(local::BatchCtx& batch, NodeId v) {
     color_[static_cast<std::size_t>(v)] =
         cv_reduce(q, color_[static_cast<std::size_t>(v)], neighbor_color(0),
                   neighbor_color(1));
-    stage_color();
+    publish_color();
     return;
   }
 
@@ -539,7 +538,7 @@ void GenericHierProgram::cv_round_batch(local::BatchCtx& batch, NodeId v) {
           break;
         }
       }
-      stage_color();
+      publish_color();
     }
     return;
   }
@@ -550,9 +549,7 @@ void GenericHierProgram::cv_round_batch(local::BatchCtx& batch, NodeId v) {
     if (c < 0 || c > 2) {
       throw std::logic_error("generic: CV did not reach 3 colors");
     }
-    batch_term_nodes_.push_back(v);
-    batch_term_outputs_.push_back(local::Output{
-        static_cast<int>(kMap[static_cast<std::size_t>(c)]), -1});
+    batch.terminate(v, static_cast<int>(kMap[static_cast<std::size_t>(c)]));
   }
 }
 
@@ -560,39 +557,24 @@ void GenericHierProgram::on_round_batch(local::BatchCtx& batch,
                                         local::NodeSpan nodes) {
   // Pure in the round number, so one lookup serves the whole span.
   const int phase = phase_of(batch.round());
-  wave_nodes_.clear();
-  wave_words_.clear();
-  cv_nodes_.clear();
-  cv_words_.clear();
-  batch_term_nodes_.clear();
-  batch_term_outputs_.clear();
-
   for (const NodeId v : nodes) {
     if (!is_active(v)) continue;
     const int lv = level(v);
     if (try_exempt_batch(batch, v)) continue;
     if (phase == 0 || lv > opt_.k) continue;
+    if (phase < lv) {
+      batch.sleep_until(v, phase_start_[static_cast<std::size_t>(lv)]);
+      continue;
+    }
     if (lv < opt_.k) {
       if (phase == lv) wave_round_batch(batch, v, phase);
       continue;
     }
-    if (phase != opt_.k) continue;
     if (opt_.variant == Variant::kTwoHalf) {
       wave_round_batch(batch, v, opt_.k);
     } else {
       cv_round_batch(batch, v);
     }
-  }
-
-  // Flush in per-node order: publishes, then terminations.
-  if (!wave_nodes_.empty()) {
-    batch.publish_lane(wave_nodes_, wave_words_.data(), kWaveRegSize);
-  }
-  if (!cv_nodes_.empty()) {
-    batch.publish_lane(cv_nodes_, cv_words_.data(), 1);
-  }
-  if (!batch_term_nodes_.empty()) {
-    batch.terminate_lane(batch_term_nodes_, batch_term_outputs_.data());
   }
 }
 

@@ -103,8 +103,8 @@ class GenericHierProgram final : public local::Program {
   void cv_round(local::NodeCtx& ctx);
 
   // Batch-kernel twins of try_exempt/wave_round/cv_round: identical
-  // reads through BatchCtx's committed-plane views, writes staged into
-  // the member lanes below and flushed once per round.
+  // reads through BatchCtx's committed-plane views, writes straight
+  // through `batch`, and idle nodes put to sleep.
   bool try_exempt_batch(local::BatchCtx& batch, NodeId v);
   void wave_round_batch(local::BatchCtx& batch, NodeId v, int phase);
   void cv_round_batch(local::BatchCtx& batch, NodeId v);
@@ -119,19 +119,6 @@ class GenericHierProgram final : public local::Program {
 
   std::vector<WaveState> wave_;
   std::vector<std::int64_t> color_;  ///< CV working color
-
-  // Batch-dispatch staging lanes, reused across rounds: wave publishes
-  // are width-6 rows of wave_words_, CV publishes width-1 rows of
-  // cv_words_, terminations pair batch_term_nodes_[i] with
-  // batch_term_outputs_[i]. Flushed at the end of each on_round_batch
-  // via publish_lane/terminate_lane — unobservable under the engine's
-  // staging semantics (reads see only round-start state).
-  std::vector<NodeId> wave_nodes_;
-  std::vector<std::int64_t> wave_words_;
-  std::vector<NodeId> cv_nodes_;
-  std::vector<std::int64_t> cv_words_;
-  std::vector<NodeId> batch_term_nodes_;
-  std::vector<local::Output> batch_term_outputs_;
 };
 
 /// Convenience: run the generic algorithm on `tree` and return the stats.

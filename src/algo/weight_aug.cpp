@@ -121,8 +121,8 @@ WeightAugProgram::WeightAugProgram(const graph::Tree& tree,
   for (NodeId s = 0; s < sub.size(); ++s) {
     const NodeId v = from_sub[static_cast<std::size_t>(s)];
     const auto& a = dec.assignment[static_cast<std::size_t>(s)];
-    label_round_[static_cast<std::size_t>(v)] =
-        dec.assign_step[static_cast<std::size_t>(s)] + 1;
+    label_round_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(
+        dec.assign_step[static_cast<std::size_t>(s)] + 1);
 
     if (a.kind == LayerKind::kRake) {
       label_[static_cast<std::size_t>(v)] = problems::rake_label(a.layer);
@@ -250,6 +250,79 @@ void WeightAugProgram::on_round(local::NodeCtx& ctx) {
       ctx.publish({sec});
       ctx.terminate(lab, static_cast<int>(sec));
       return;
+    }
+  }
+}
+
+void WeightAugProgram::on_init_batch(local::BatchCtx& batch,
+                                     local::NodeSpan nodes) {
+  // The generic kernel skips weight nodes; a weight node's per-node twin
+  // idles until its label round.
+  generic_.on_init_batch(batch, nodes);
+  for (const NodeId v : nodes) {
+    if (!is_active(v)) {
+      batch.sleep_until(v, label_round_[static_cast<std::size_t>(v)]);
+    }
+  }
+}
+
+void WeightAugProgram::on_round_batch(local::BatchCtx& batch,
+                                      local::NodeSpan nodes) {
+  generic_.on_round_batch(batch, nodes);
+
+  const std::int64_t r = batch.round();
+  const std::int32_t* off = batch.offsets();
+  const NodeId* adj = batch.adjacency();
+  for (const NodeId v : nodes) {
+    if (is_active(v)) continue;
+    const auto i = static_cast<std::size_t>(v);
+    if (r < label_round_[i]) {
+      batch.sleep_until(v, label_round_[i]);
+      continue;
+    }
+    const int lab = label_[i];
+    const int pp = pointee_port_[i];
+    const NodeId pointee =
+        pp < 0 ? -1 : adj[static_cast<std::size_t>(off[v] + pp)];
+
+    switch (kind_[i]) {
+      case WKind::kActiveNode:
+        throw std::logic_error("weight_aug: active routed to weight logic");
+
+      case WKind::kMustDecline:
+        batch.publish(v, {-1});
+        batch.terminate(v, lab, -1);
+        break;
+
+      case WKind::kOrphanRoot:
+        batch.publish(v, {static_cast<std::int64_t>(Color::kW)});
+        batch.terminate(v, lab, static_cast<int>(Color::kW));
+        break;
+
+      case WKind::kPointsActive: {
+        // Waits for the pointee's termination, which wakes it.
+        if (!batch.terminated_visible(pointee)) {
+          batch.sleep_until(v, local::BatchCtx::kUntilWoken);
+          break;
+        }
+        const int sec = batch.output(pointee).primary;
+        batch.publish(v, {sec});
+        batch.terminate(v, lab, sec);
+        break;
+      }
+
+      case WKind::kPointsWeight: {
+        // Waits for the pointee's publish, which wakes it.
+        const local::RegView reg = batch.reg(pointee);
+        if (reg.empty()) {
+          batch.sleep_until(v, local::BatchCtx::kUntilWoken);
+          break;
+        }
+        const std::int64_t sec = reg[0];
+        batch.publish(v, {sec});
+        batch.terminate(v, lab, static_cast<int>(sec));
+        break;
+      }
     }
   }
 }

@@ -44,6 +44,13 @@ class WeightAugProgram final : public local::Program {
 
   void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
+  /// Batch twins: active nodes go through the generic program's batch
+  /// kernel; weight nodes run a flat loop that sleeps until their label
+  /// round and then until their pointee publishes or terminates.
+  void on_init_batch(local::BatchCtx& batch,
+                     local::NodeSpan nodes) override;
+  void on_round_batch(local::BatchCtx& batch,
+                      local::NodeSpan nodes) override;
 
   /// The orientation map the solution commits to (checker input).
   [[nodiscard]] const problems::OrientationMap& orientation() const {
@@ -51,7 +58,7 @@ class WeightAugProgram final : public local::Program {
   }
 
  private:
-  enum class WKind : int {
+  enum class WKind : std::uint8_t {
     kActiveNode,
     kMustDecline,   ///< compress interior not adjacent to active
     kOrphanRoot,    ///< no pointee at all: arbitrary secondary W
@@ -70,7 +77,7 @@ class WeightAugProgram final : public local::Program {
 
   std::vector<WKind> kind_;
   std::vector<int> label_;                  ///< Definition-63 label
-  std::vector<std::int64_t> label_round_;   ///< round the label is known
+  std::vector<std::int32_t> label_round_;   ///< round the label is known
   std::vector<int> pointee_port_;           ///< outgoing port (-1 none)
   problems::OrientationMap orient_;
 };

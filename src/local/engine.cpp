@@ -59,19 +59,6 @@ void BatchCtx::terminate_lane(NodeSpan nodes, Output out) {
   }
 }
 
-void BatchCtx::terminate_lane(NodeSpan nodes, const Output* outputs) {
-  Engine& e = engine_;
-  for (std::size_t j = 0; j < nodes.size(); ++j) {
-    const auto i = static_cast<std::size_t>(nodes[j]);
-    if (e.term_[i] != 0) {
-      throw std::logic_error("BatchCtx: double termination");
-    }
-    e.term_[i] = 1;
-    e.outputs_[i] = outputs[j];
-    e.term_round_[i] = e.round_;
-  }
-}
-
 void BatchCtx::publish_lane(NodeSpan nodes, const std::int64_t* words,
                             std::size_t width) {
   Engine& e = engine_;
@@ -151,8 +138,30 @@ void Engine::bind(Workspace& ws) {
   term_ = ws.terminated.data();
   term_round_ = ws.term_round.data();
   outputs_ = ws.outputs.data();
+  wake_ = nullptr;
   pub_lo_ = std::numeric_limits<std::size_t>::max();
   pub_hi_ = 0;
+}
+
+void Engine::start_sleeping() {
+  // Every node starts awake (wake 0 <= any round); the lane and the
+  // awake list keep their capacity across runs like every other lane.
+  const auto n = static_cast<std::size_t>(tree_.size());
+  std::int64_t allocs = ws_->wake.assign(n, 0) ? 1 : 0;
+  allocs += ws_->awake.ensure(n) ? 1 : 0;
+  ws_->alloc_events_ += allocs;
+  wake_ = ws_->wake.data();
+}
+
+void Engine::wake_neighbors(NodeId v) {
+  const auto next = static_cast<std::int32_t>(
+      std::min<std::int64_t>(round_ + 1, BatchCtx::kUntilWoken));
+  const auto begin = static_cast<std::size_t>(off_[v]);
+  const auto end = static_cast<std::size_t>(off_[v + 1]);
+  for (std::size_t p = begin; p < end; ++p) {
+    std::int32_t& w = wake_[static_cast<std::size_t>(adj_[p])];
+    w = std::min(w, next);
+  }
 }
 
 void Engine::grow(std::int64_t width) {
@@ -212,16 +221,43 @@ void Engine::commit_publishes() {
   ws_->retired.clear();
 }
 
-void Engine::flip_and_compact() {
-  commit_publishes();
-
-  // Compact the alive list in place (stable; identical order under both
-  // kernel variants).
+void Engine::flip_and_compact(NodeSpan stepped) {
   std::vector<NodeId>& alive = ws_->alive;
-  const std::size_t w =
-      simd_ ? compact_alive_simd(alive.data(), alive.size(), term_)
-            : compact_alive_scalar(alive.data(), alive.size(), term_);
+  if (wake_ == nullptr) {
+    commit_publishes();
+    // Compact the alive list in place (stable; identical order under
+    // both kernel variants).
+    const std::size_t w =
+        simd_ ? compact_alive_simd(alive.data(), alive.size(), term_)
+              : compact_alive_scalar(alive.data(), alive.size(), term_);
+    alive.resize(w);
+    return;
+  }
+  // A run with sleepers: this round's publishes and terminations become
+  // visible next round, so they wake the neighbors for it. Publishers
+  // come from the list the flip consumes; only stepped nodes can have
+  // terminated, so their terminations are found on the stepped span.
+  for (const NodeId v : ws_->published) wake_neighbors(v);
+  for (const NodeId v : stepped) {
+    if (term_[static_cast<std::size_t>(v)] != 0) wake_neighbors(v);
+  }
+  commit_publishes();
+  // One stable pass compacts the alive list and picks out the next
+  // round's awake subset, which inherits its strictly increasing order.
+  const std::int64_t next = round_ + 1;
+  NodeId* awake = ws_->awake.data();
+  std::size_t w = 0;
+  std::size_t a = 0;
+  for (const NodeId v : alive) {
+    const auto i = static_cast<std::size_t>(v);
+    const bool live = term_[i] == 0;
+    alive[w] = v;
+    w += live ? 1 : 0;
+    awake[a] = v;
+    a += live && wake_[i] <= next ? 1 : 0;
+  }
   alive.resize(w);
+  awake_count_ = a;
 }
 
 RunStats Engine::run(Program& program, std::int64_t max_rounds,
@@ -266,27 +302,26 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
   std::vector<NodeId>& alive = ws.alive;
   BatchCtx bctx(*this);
   if (batch_) {
-    // One span-level call over every node, then a stable compaction of
-    // the init-terminated ones — the same surviving order the per-node
-    // push_back filter produces. `alive` was reserved for n by
-    // prepare(), so the resize never allocates on a warm run.
+    // One span-level call over every node, then the end-of-round flip
+    // and stable compaction of the init-terminated ones — the same
+    // surviving order the per-node push_back filter produces. `alive`
+    // was reserved for n by prepare(), so the resize never allocates on
+    // a warm run.
     alive.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       alive[i] = static_cast<NodeId>(i);
     }
-    program.on_init_batch(bctx, NodeSpan(alive.data(), alive.size()));
-    const std::size_t w =
-        simd_ ? compact_alive_simd(alive.data(), alive.size(), term_)
-              : compact_alive_scalar(alive.data(), alive.size(), term_);
-    alive.resize(w);
+    const NodeSpan all(alive.data(), alive.size());
+    program.on_init_batch(bctx, all);
+    flip_and_compact(all);
   } else {
     for (NodeId v = 0; v < tree_.size(); ++v) {
       NodeCtx ctx(*this, v);
       program.on_init(ctx);
       if (term_[static_cast<std::size_t>(v)] == 0) alive.push_back(v);
     }
+    commit_publishes();
   }
-  commit_publishes();
   if (profile != nullptr) {
     profile->alive_per_round.clear();
     profile->term_count.clear();
@@ -314,14 +349,20 @@ void Engine::run_into(Program& program, Workspace& ws, RunStats& stats,
           static_cast<std::int64_t>(alive.size()));
     }
     if (batch_) {
-      program.on_round_batch(bctx, NodeSpan(alive.data(), alive.size()));
+      // Once the run has a sleeper, step only the awake subset the last
+      // flip picked out.
+      const NodeSpan span =
+          wake_ == nullptr ? NodeSpan(alive.data(), alive.size())
+                           : NodeSpan(ws.awake.data(), awake_count_);
+      program.on_round_batch(bctx, span);
+      flip_and_compact(span);
     } else {
       for (const NodeId v : alive) {
         NodeCtx ctx(*this, v);
         program.on_round(ctx);
       }
+      flip_and_compact(NodeSpan(alive.data(), alive.size()));
     }
-    flip_and_compact();
   }
 
   stats.n = tree_.size();

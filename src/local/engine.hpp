@@ -55,12 +55,31 @@
 // branch) and a per-round list of publishers. The flip is O(#published):
 // the dense wide-XOR kernel is only chosen when the publishers' id-span
 // is within a constant factor of their count, so it never degrades a
-// sparse round to O(n). Per round the work is one program callback per
-// alive node plus one O(register width) write per publish. Total
-// simulation cost is therefore O(sum_v T_v) — proportional to exactly
-// the quantity the paper's theorems bound, which keeps fast instances
-// fast. A terminated node's committed words are simply never touched
-// again, so its final register stays readable for free.
+// sparse round to O(n). Per round the engine's own work is one cheap
+// pass over the alive list plus one O(register width) write per publish,
+// so total bookkeeping is O(sum_v T_v) — proportional to exactly the
+// quantity the paper's theorems bound. Program callbacks are one per
+// alive node per round, O(sum_v T_v) too, unless the program sleeps:
+// a batch kernel that parks idle nodes (`BatchCtx::sleep_until`, see
+// "Sleeping nodes" below) is only stepped on awake nodes, so its
+// callback work is O(n + wakes), where a wake is one round in which a
+// node is stepped because its deadline came or a neighbor published or
+// terminated. A terminated node's committed words are simply never
+// touched again, so its final register stays readable for free.
+//
+// Sleeping nodes. From a batch hook, `sleep_until(v, R)` parks v: the
+// engine stops handing v to `on_round_batch` until round R, or until
+// the round after a neighbor of v publishes or terminates, whichever
+// comes first. The contract: a node may sleep until R only if its
+// per-node twin would not publish, terminate or change state in any
+// round before R, except a round that follows a neighbor's publish or
+// termination. Under that contract the skipped steps are no-ops, so
+// batch runs stay bit-identical to per-node runs. A kernel publishes for
+// and terminates only nodes of its span, so the engine looks for a
+// round's terminations there, not in the whole alive list. Per-node
+// dispatch never sleeps (it is the pinned reference), and a run that
+// never calls `sleep_until` pays nothing: the wake lane is only sized on
+// a run's first sleep.
 //
 // Dispatch. The engine drives a program either through the classic
 // per-node virtual hooks (one `on_round` call per alive node) or
@@ -77,6 +96,7 @@
 // `core/batch.hpp` for the thread-pooled sweep runner.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -221,13 +241,15 @@ class NodeCtx {
 };
 
 /// The engine's per-round unit of batched dispatch: a contiguous,
-/// strictly increasing run of node ids (the compacted alive list).
+/// strictly increasing run of node ids — the compacted alive list, or,
+/// once a run has a sleeper, its awake subset.
 using NodeSpan = std::span<const NodeId>;
 
 /// Span-level view handed to the batch hooks: the whole-round
 /// counterpart of `NodeCtx`, exposing the engine's SoA lanes directly
-/// so a ported program can run one flat kernel over the alive span
-/// instead of n virtual calls.
+/// so a ported program can run one flat kernel over the span of awake
+/// alive nodes instead of n virtual calls. Alive nodes parked by
+/// `sleep_until` are left out of the span until they wake.
 ///
 /// Aliasing rules (what keeps batch runs bit-identical to per-node
 /// runs, in any processing order):
@@ -289,9 +311,18 @@ class BatchCtx {
   }
   /// Bulk terminate: every node in `nodes` fixes the same output.
   void terminate_lane(NodeSpan nodes, Output out);
-  /// Bulk terminate with per-node outputs: `nodes[i]` fixes
-  /// `outputs[i]`.
-  void terminate_lane(NodeSpan nodes, const Output* outputs);
+
+  /// `sleep_until` bound meaning "until a neighbor publishes or
+  /// terminates".
+  static constexpr std::int64_t kUntilWoken =
+      std::numeric_limits<std::int32_t>::max();
+
+  /// Parks alive node v: it is left out of the span until round `round`,
+  /// or until the round after a neighbor publishes or terminates,
+  /// whichever comes first. Only legal under the sleeping contract
+  /// (see the engine header comment): v's per-node twin must do nothing
+  /// in the skipped rounds.
+  void sleep_until(NodeId v, std::int64_t round);
 
   /// Per-node view for one node of the span — the escape hatch the
   /// default batch hooks use to replay the per-node schedule.
@@ -329,7 +360,8 @@ class Program {
   /// loops `on_init` over the span.
   virtual void on_init_batch(BatchCtx& batch, NodeSpan nodes);
   /// Batched round: called once per round with the compacted alive
-  /// list. Default: loops `on_round` over the span.
+  /// list, minus the nodes parked by `BatchCtx::sleep_until`. Default:
+  /// loops `on_round` over the span.
   virtual void on_round_batch(BatchCtx& batch, NodeSpan nodes);
 };
 
@@ -423,8 +455,13 @@ class Engine {
     AlignedPlane<std::uint8_t> pub;       ///< published-this-round flag
     AlignedPlane<std::uint8_t> terminated;
     AlignedPlane<std::int64_t> term_round;
+    /// First round each node is stepped again (sleeping nodes); sized
+    /// on a run's first `sleep_until`, so programs that never sleep
+    /// never touch it.
+    AlignedPlane<std::int32_t> wake;
     std::vector<Output> outputs;
     std::vector<NodeId> alive;      ///< compacted in place every round
+    AlignedPlane<NodeId> awake;     ///< next round's span, once sleeping
     std::vector<NodeId> published;  ///< publishers of the current round
     /// Word planes replaced by a mid-round growth, retired until the
     /// flip so outstanding RegViews keep pointing at live (committed,
@@ -486,8 +523,16 @@ class Engine {
   /// retired planes. Called at the end of init and of every round.
   void commit_publishes();
   /// End-of-round synchronous flip: commit publishes, then compact the
-  /// alive list in place.
-  void flip_and_compact();
+  /// alive list in place. Once the run has a sleeper, publishers and
+  /// the nodes of `stepped` that terminated first wake their neighbors
+  /// for the next round, and the compaction also fills the workspace's
+  /// awake list with the next round's span.
+  void flip_and_compact(NodeSpan stepped);
+  /// On the run's first `sleep_until`: sizes the wake lane with every
+  /// node awake, and the awake buffer.
+  void start_sleeping();
+  /// Lowers the wake of v's neighbors to the next round.
+  void wake_neighbors(NodeId v);
   /// Points the hot-path mirrors at `ws`'s (re)prepared lanes.
   void bind(Workspace& ws);
 
@@ -518,6 +563,8 @@ class Engine {
   std::uint8_t* term_ = nullptr;
   std::int64_t* term_round_ = nullptr;
   Output* outputs_ = nullptr;
+  std::int32_t* wake_ = nullptr;  ///< null until the run's first sleeper
+  std::size_t awake_count_ = 0;   ///< length of the next awake span
   // Publisher id-range of the current round, for the dense-flip choice.
   std::size_t pub_lo_ = 0;
   std::size_t pub_hi_ = 0;
@@ -642,6 +689,12 @@ inline Output BatchCtx::output(NodeId u) const {
 inline void BatchCtx::publish(NodeId v, RegView reg) {
   NodeCtx ctx(engine_, v);
   ctx.publish(reg);
+}
+
+inline void BatchCtx::sleep_until(NodeId v, std::int64_t round) {
+  if (engine_.wake_ == nullptr) engine_.start_sleeping();
+  engine_.wake_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(
+      std::min<std::int64_t>(round, kUntilWoken));
 }
 
 inline NodeCtx BatchCtx::node_ctx(NodeId v) {

@@ -21,6 +21,7 @@
 #include "local/engine.hpp"
 #include "problems/checkers.hpp"
 #include "problems/levels.hpp"
+#include "test_util.hpp"
 
 namespace lcl {
 namespace {
@@ -213,10 +214,13 @@ TEST(DifferentialFuzz, ScalarSimdLegacyAgreeOnRandomFamilies) {
 // drifts from its pinned per-node reference twin fails here on the
 // exact (solver, family, seed) triple.
 TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
-  const std::vector<std::string> families = {"prufer", "galton_watson",
-                                             "caterpillar", "spider"};
+  // path and random_attach carry long level paths, where the sleeping
+  // batch kernels' deadline sleep fires.
+  const std::vector<std::string> families = {
+      "prufer", "galton_watson", "caterpillar", "spider", "path",
+      "random_attach"};
   std::uint64_t seed = 0xD15BA7C4ED;
-  for (int iter = 0; iter < 6; ++iter) {
+  for (int iter = 0; iter < 8; ++iter) {
     const std::string& family = families[static_cast<std::size_t>(iter) %
                                          families.size()];
     seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -227,8 +231,10 @@ TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
                    " n=" + std::to_string(n) +
                    " seed=" + std::to_string(seed));
       const algo::SolverSpec& spec = algo::solver(solver_name);
-      graph::Tree tree =
-          graph::make_family_instance(family, n, seed, /*delta=*/3);
+      // Degree bound 3 where the family takes one (path is shape-bound).
+      const int delta =
+          graph::find_family(family)->default_delta == 0 ? 0 : 3;
+      graph::Tree tree = graph::make_family_instance(family, n, seed, delta);
       algo::prepare_instance(tree, spec.needs, seed);
       algo::SolverConfig config;
       config.seed = seed;
@@ -363,6 +369,102 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
     EXPECT_EQ(legacy_stats.rounds, pernode_stats.rounds);
     EXPECT_EQ(legacy_stats.total_rounds, pernode_stats.total_rounds);
     EXPECT_EQ(replay.observed(), pernode_stats.termination_round);
+  }
+}
+
+// Sleeping nodes: the batch kernels of weight_aug and the generic 2.5
+// solver park idle nodes, so on long paths the engine steps only a small
+// fraction of the sum_v T_v node-rounds a per-node run steps — while the
+// schedule and outputs stay those of the per-node reference. Counts
+// steps through a forwarding program; takes no timings.
+TEST(SleepingNodes, BatchStepsAFifthOfTheNodeRoundsOnPaths) {
+  for (const std::string solver_name : {"weight_aug", "generic_hier_25"}) {
+    SCOPED_TRACE("solver=" + solver_name);
+    const algo::SolverSpec& spec = algo::solver(solver_name);
+    const std::uint64_t seed = 11;
+    graph::Tree tree = graph::make_family_instance("path", 5000, seed);
+    algo::prepare_instance(tree, spec.needs, seed);
+    algo::SolverConfig config;
+    config.seed = seed;
+    config.validate(spec);
+
+    const std::unique_ptr<local::Program> pernode_program =
+        spec.factory(tree, config);
+    local::Engine pernode_engine(tree, local::KernelMode::kAuto,
+                                 local::DispatchMode::kPerNode);
+    const local::RunStats pernode_stats =
+        pernode_engine.run(*pernode_program);
+
+    const std::unique_ptr<local::Program> batch_program =
+        spec.factory(tree, config);
+    test::StepCounter counter(*batch_program, tree.size());
+    local::Engine batch_engine(tree, local::KernelMode::kAuto,
+                               local::DispatchMode::kBatch);
+    // Bounded by the reference, so a node that never wakes shows up as a
+    // truncated run instead of idling to the default round limit.
+    const local::RunStats batch_stats =
+        batch_engine.run(counter, pernode_stats.rounds);
+
+    ASSERT_FALSE(pernode_stats.truncated);
+    ASSERT_FALSE(batch_stats.truncated);
+    EXPECT_EQ(pernode_stats.termination_round,
+              batch_stats.termination_round);
+    EXPECT_EQ(pernode_stats.primaries(), batch_stats.primaries());
+    EXPECT_EQ(pernode_stats.secondaries(), batch_stats.secondaries());
+    EXPECT_TRUE(spec.certify(tree, *batch_program, batch_stats, config).ok);
+    EXPECT_LE(counter.stepped() * 5, batch_stats.total_rounds)
+        << "stepped " << counter.stepped() << " of "
+        << batch_stats.total_rounds << " node-rounds";
+  }
+}
+
+// Truncation is unchanged by sleeping: cutting weight_aug@path below
+// its worst case, both dispatch modes censor the same survivors at the
+// same round and report the same alive trajectory (which counts alive
+// nodes, asleep or not).
+TEST(SleepingNodes, TruncatedWeightAugAgreesAcrossDispatch) {
+  const algo::SolverSpec& spec = algo::solver("weight_aug");
+  const std::uint64_t seed = 5;
+  graph::Tree tree = graph::make_family_instance("path", 3000, seed);
+  algo::prepare_instance(tree, spec.needs, seed);
+  algo::SolverConfig config;
+  config.seed = seed;
+  config.validate(spec);
+
+  const std::unique_ptr<local::Program> full = spec.factory(tree, config);
+  const std::int64_t worst = local::Engine(tree).run(*full).worst_case;
+  ASSERT_GT(worst, 4);
+
+  for (const std::int64_t cap : {worst / 3, worst - 1}) {
+    SCOPED_TRACE("max_rounds=" + std::to_string(cap));
+    const std::unique_ptr<local::Program> pernode_program =
+        spec.factory(tree, config);
+    local::Engine pernode_engine(tree, local::KernelMode::kAuto,
+                                 local::DispatchMode::kPerNode);
+    local::RunProfile pernode_profile;
+    const local::RunStats pernode_stats =
+        pernode_engine.run(*pernode_program, cap, &pernode_profile);
+
+    const std::unique_ptr<local::Program> batch_program =
+        spec.factory(tree, config);
+    local::Engine batch_engine(tree, local::KernelMode::kAuto,
+                               local::DispatchMode::kBatch);
+    local::RunProfile batch_profile;
+    const local::RunStats batch_stats =
+        batch_engine.run(*batch_program, cap, &batch_profile);
+
+    EXPECT_TRUE(pernode_stats.truncated);
+    EXPECT_EQ(pernode_stats.truncated, batch_stats.truncated);
+    EXPECT_GT(pernode_stats.unterminated, 0);
+    EXPECT_EQ(pernode_stats.unterminated, batch_stats.unterminated);
+    EXPECT_EQ(pernode_stats.rounds, batch_stats.rounds);
+    EXPECT_EQ(pernode_stats.termination_round,
+              batch_stats.termination_round);
+    EXPECT_EQ(pernode_stats.primaries(), batch_stats.primaries());
+    EXPECT_EQ(pernode_stats.secondaries(), batch_stats.secondaries());
+    EXPECT_EQ(pernode_profile.alive_per_round,
+              batch_profile.alive_per_round);
+    EXPECT_EQ(pernode_profile.term_count, batch_profile.term_count);
   }
 }
 

@@ -6,6 +6,7 @@
 // and a program with real batch kernels matches its per-node twin.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -231,35 +232,6 @@ TEST(BatchDispatch, TerminationLanesCarrySynchronousVisibility) {
   }
 }
 
-/// terminate_lane with per-node outputs, driven from a bulk decision.
-class LaneOutputs final : public Program {
- public:
-  void on_init(NodeCtx&) override {}
-  void on_round(NodeCtx&) override { FAIL() << "batch-only program"; }
-  void on_init_batch(BatchCtx&, NodeSpan) override {}
-  void on_round_batch(BatchCtx& batch, NodeSpan nodes) override {
-    std::vector<local::Output> outs(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      outs[i] = {static_cast<int>(nodes[i]) * 2,
-                 static_cast<int>(nodes[i]) % 5};
-    }
-    batch.terminate_lane(nodes, outs.data());
-  }
-};
-
-TEST(BatchDispatch, TerminateLaneRecordsPerNodeOutputs) {
-  Tree t = graph::make_star(7);
-  LaneOutputs p;
-  Engine engine(t, local::KernelMode::kAuto, DispatchMode::kBatch);
-  const RunStats stats = engine.run(p);
-  for (NodeId v = 0; v < 8; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    EXPECT_EQ(stats.termination_round[vi], 1);
-    EXPECT_EQ(stats.output[vi].primary, v * 2);
-    EXPECT_EQ(stats.output[vi].secondary, v % 5);
-  }
-}
-
 /// Terminating the same span twice in one round must throw, exactly
 /// like a per-node double ctx.terminate().
 class DoubleTerminate final : public Program {
@@ -312,6 +284,73 @@ TEST(BatchDispatch, InitTerminationsCompactTheFirstSpan) {
   InitTerminates pernode_p;
   Engine pernode(t, local::KernelMode::kAuto, DispatchMode::kPerNode);
   expect_identical(pernode.run(pernode_p), batch_stats);
+}
+
+/// Sleeping nodes on the path 0-1-2. Node 0 stays awake, publishes in
+/// round 3 and terminates in round 8. Node 1 sleeps until woken and
+/// terminates once it sees node 0 terminated. Node 2 sleeps until round
+/// 6 and terminates there. Every step is recorded.
+class Sleepers final : public Program {
+ public:
+  void on_init(NodeCtx&) override {}
+  void on_round(NodeCtx&) override { FAIL() << "batch-only program"; }
+  void on_init_batch(BatchCtx&, NodeSpan) override {}
+  void on_round_batch(BatchCtx& batch, NodeSpan nodes) override {
+    const std::int64_t round = batch.round();
+    for (const NodeId v : nodes) {
+      steps[static_cast<std::size_t>(v)].push_back(round);
+      if (v == 0) {
+        if (round == 3) batch.publish(v, {7});
+        if (round == 8) batch.terminate(v, 0);
+      } else if (v == 1) {
+        if (batch.terminated_visible(0)) {
+          batch.terminate(v, 1);
+        } else {
+          batch.sleep_until(v, BatchCtx::kUntilWoken);
+        }
+      } else if (round >= 6) {
+        batch.terminate(v, 2);
+      } else {
+        batch.sleep_until(v, 6);
+      }
+    }
+  }
+
+  std::vector<std::int64_t> steps[3];
+};
+
+TEST(SleepingNodes, WakeOnDeadlineNeighborPublishAndTermination) {
+  Tree t = graph::make_path(3);
+  Sleepers p;
+  Engine engine(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  local::RunProfile profile;
+  const RunStats stats = engine.run(p, 100, &profile);
+
+  EXPECT_EQ(stats.termination_round, (std::vector<std::int64_t>{8, 9, 6}));
+  // Node 0 is never put to sleep.
+  EXPECT_EQ(p.steps[0], (std::vector<std::int64_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  // Node 1 wakes the round after node 0 publishes (4), after node 2
+  // terminates (7), and after node 0 terminates (9).
+  EXPECT_EQ(p.steps[1], (std::vector<std::int64_t>{1, 4, 7, 9}));
+  // Node 2 has no publishing neighbor: it wakes at its deadline.
+  EXPECT_EQ(p.steps[2], (std::vector<std::int64_t>{1, 6}));
+  // The alive trajectory counts sleepers too.
+  EXPECT_EQ(profile.alive_per_round,
+            (std::vector<std::int64_t>{3, 3, 3, 3, 3, 3, 2, 2, 1}));
+}
+
+TEST(SleepingNodes, WakeLaneIsSizedOnceAndReusedWarm) {
+  Tree t = graph::make_path(3);
+  Engine engine(t, local::KernelMode::kAuto, DispatchMode::kBatch);
+  Engine::Workspace ws;
+  Sleepers cold;
+  (void)engine.run(cold, ws, 100);
+  const std::int64_t after_cold = ws.alloc_events();
+  Sleepers warm;
+  const RunStats stats = engine.run(warm, ws, 100);
+  EXPECT_EQ(ws.alloc_events(), after_cold);
+  EXPECT_EQ(warm.steps[1], cold.steps[1]);
+  EXPECT_EQ(stats.termination_round, (std::vector<std::int64_t>{8, 9, 6}));
 }
 
 }  // namespace

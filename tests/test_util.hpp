@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/builders.hpp"
@@ -25,5 +26,44 @@ inline void assert_valid(const problems::CheckResult& r) {
 inline std::vector<int> primaries(const local::RunStats& stats) {
   return stats.primaries();
 }
+
+/// Forwards every hook to `inner` and counts what batch dispatch steps:
+/// the sum of the `on_round_batch` span sizes and, per node, the rounds
+/// it was handed to the kernel. Also checks that every span is strictly
+/// increasing. Counts steps only — no timings.
+class StepCounter final : public local::Program {
+ public:
+  StepCounter(local::Program& inner, graph::NodeId n)
+      : inner_(inner), steps_(static_cast<std::size_t>(n)) {}
+
+  void on_init(local::NodeCtx& ctx) override { inner_.on_init(ctx); }
+  void on_round(local::NodeCtx& ctx) override { inner_.on_round(ctx); }
+  void on_init_batch(local::BatchCtx& batch,
+                     local::NodeSpan nodes) override {
+    inner_.on_init_batch(batch, nodes);
+  }
+  void on_round_batch(local::BatchCtx& batch,
+                      local::NodeSpan nodes) override {
+    stepped_ += static_cast<std::int64_t>(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (i > 0) EXPECT_LT(nodes[i - 1], nodes[i]) << "span not increasing";
+      steps_[static_cast<std::size_t>(nodes[i])].push_back(batch.round());
+    }
+    inner_.on_round_batch(batch, nodes);
+  }
+
+  /// Total node-rounds handed to `on_round_batch`.
+  [[nodiscard]] std::int64_t stepped() const { return stepped_; }
+  /// The rounds in which v was stepped, increasing.
+  [[nodiscard]] const std::vector<std::int64_t>& steps(
+      graph::NodeId v) const {
+    return steps_[static_cast<std::size_t>(v)];
+  }
+
+ private:
+  local::Program& inner_;
+  std::int64_t stepped_ = 0;
+  std::vector<std::vector<std::int64_t>> steps_;
+};
 
 }  // namespace lcl::test

@@ -7,6 +7,8 @@
 #include "algo/weight_aug.hpp"
 #include "core/fitting.hpp"
 #include "graph/builders.hpp"
+#include "local/engine.hpp"
+#include "problems/labels.hpp"
 #include "problems/checkers.hpp"
 #include "test_util.hpp"
 
@@ -85,6 +87,73 @@ TEST(WeightAug, MostWeightCopiesTheHost) {
   ASSERT_GT(weight, 0);
   EXPECT_GT(static_cast<double>(copying),
             0.9 * static_cast<double>(weight));
+}
+
+// Sleeping weight nodes. A 41-node active path 0..40 carries the
+// weight chain 41-42-43 on its middle node 20. With k = 2 the gamma is
+// 7, so no endpoint wave ever reaches node 20: it never publishes and
+// Declines at the phase-1 deadline. Node 41 points at active node 20
+// (kPointsActive), 42 points at 41 and 43 at 42 (kPointsWeight). Each
+// weight node sleeps from its label round on, and is only woken by its
+// pointee: 41 by node 20's termination, 42 and 43 by their pointee's
+// publish.
+graph::Tree make_sleeping_chain() {
+  graph::TreeBuilder b(44);
+  for (graph::NodeId v = 0; v + 1 <= 40; ++v) b.add_edge(v, v + 1);
+  b.add_edge(20, 41);
+  b.add_edge(41, 42);
+  b.add_edge(42, 43);
+  for (graph::NodeId v = 41; v <= 43; ++v) {
+    b.set_input(v, static_cast<int>(graph::WeightInput::kWeight));
+  }
+  return b.finalize();
+}
+
+TEST(WeightAugSleep, PointeeTerminationAndPublishWakeTheWaiters) {
+  const Tree tree = make_sleeping_chain();
+  algo::WeightAugOptions o;
+  o.k = 2;
+
+  algo::WeightAugProgram pernode_program(tree, o);
+  local::Engine pernode(tree, local::KernelMode::kAuto,
+                        local::DispatchMode::kPerNode);
+  const local::RunStats ref = pernode.run(pernode_program, 1000);
+  ASSERT_FALSE(ref.truncated);
+
+  algo::WeightAugProgram batch_program(tree, o);
+  test::StepCounter counter(batch_program, tree.size());
+  local::Engine batch(tree, local::KernelMode::kAuto,
+                      local::DispatchMode::kBatch);
+  // Bounded, so a node that never wakes fails the test instead of
+  // idling to the default round limit.
+  const local::RunStats stats = batch.run(counter, 1000);
+  ASSERT_FALSE(stats.truncated);
+
+  EXPECT_EQ(ref.termination_round, stats.termination_round);
+  EXPECT_EQ(ref.primaries(), stats.primaries());
+  EXPECT_EQ(ref.secondaries(), stats.secondaries());
+  test::assert_valid(problems::check_weight_augmented(
+      tree, 2, stats.output, batch_program.orientation()));
+
+  const auto t_of = [&](graph::NodeId v) {
+    return stats.termination_round[static_cast<std::size_t>(v)];
+  };
+  // Node 20 Declines at the deadline round phase_start(1) + gamma + 1.
+  EXPECT_EQ(t_of(20), 9);
+  EXPECT_EQ(stats.output[20].primary, static_cast<int>(problems::Color::kD));
+  // The termination of 20 wakes 41 in the next round, and 41 copies D.
+  EXPECT_EQ(t_of(41), t_of(20) + 1);
+  EXPECT_EQ(stats.output[41].secondary, stats.output[20].primary);
+  EXPECT_EQ(counter.steps(41).back(), t_of(41));
+  // 41 slept from its label round until the wake: two steps in all.
+  EXPECT_EQ(counter.steps(41).size(), 2U);
+  // 41's publish wakes 42, whose publish wakes 43; each is stepped at its
+  // label round and at the wake, never in between.
+  EXPECT_EQ(t_of(42), t_of(41) + 1);
+  EXPECT_EQ(t_of(43), t_of(42) + 1);
+  EXPECT_EQ(counter.steps(42).size(), 2U);
+  EXPECT_EQ(counter.steps(43).size(), 2U);
+  EXPECT_EQ(stats.output[43].secondary, stats.output[20].primary);
 }
 
 }  // namespace

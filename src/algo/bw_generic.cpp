@@ -27,11 +27,14 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
   out_.assign(n, -1);
 
   const bw::TreeBwProblem problem = table_.to_problem();
+  // One decomposition and one edge index serve the solve, the fallback,
+  // the round charging and the per-node outputs.
   const decomp::Decomposition dec =
-      decomp::rake_compress(tree, /*gamma=*/1, /*ell=*/4,
+      decomp::rake_compress(tree, bw::kDecompGamma, bw::kDecompEll,
                             /*split_paths=*/true);
+  const bw::EdgeIndex edges = bw::EdgeIndex::build(tree);
 
-  bw::TreeBwResult result = bw::solve_tree_bw(tree, problem);
+  bw::TreeBwResult result = bw::solve_tree_bw(tree, problem, dec, edges);
   if (result.solved) {
     mode_ = BwMode::kFlexible;
     edge_labels_ = std::move(result.edge_label);
@@ -60,7 +63,7 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
     }
   } else {
     const std::string flexible_failure = result.failure;
-    bw::TreeBwResult exact = bw::solve_tree_bw_global(tree, problem);
+    bw::TreeBwResult exact = bw::solve_tree_bw_global(tree, problem, edges);
     if (exact.solved) {
       mode_ = BwMode::kGlobal;
       edge_labels_ = std::move(exact.edge_label);
@@ -83,7 +86,6 @@ BwGenericProgram::BwGenericProgram(const graph::Tree& tree,
   // Per-node output: the label of the node's port-0 edge (leaves report
   // their unique incident label). The checker grades the full edge
   // labeling recovered by downcast, not these.
-  const bw::EdgeIndex edges = bw::EdgeIndex::build(tree);
   for (graph::NodeId v = 0; v < tree.size(); ++v) {
     if (tree.degree(v) == 0) continue;
     out_[static_cast<std::size_t>(v)] =

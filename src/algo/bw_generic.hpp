@@ -22,6 +22,10 @@
 //     immediately with output -1 and `solved() == false`, and the
 //     registry certifier reports the instance as infeasible.
 //
+// The constructor computes the (gamma=1, ell=4) proper decomposition and
+// the edge index once and hands both to the solvers, so a factory call
+// does one rake-and-compress pass and linear work overall.
+//
 // Certification recovers the full edge labeling from the program
 // (downcast, like the weight-augmented orientation map) and re-checks it
 // with the independent bw::check_tree_bw.

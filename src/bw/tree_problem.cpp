@@ -34,13 +34,20 @@ std::vector<int> two_color(const Tree& t) {
   return color;
 }
 
+/// Solve-scoped scratch for `feasible_choice`: the candidate multiset and
+/// the depth-first label stack, reused across the solve's calls.
+struct ChoiceScratch {
+  std::vector<int> multiset;
+  std::vector<int> stack_label;
+};
+
 /// Does some choice l_i in sets[i] make sorted(fixed + l) allowed?
 /// Fills `pick` with a witness when non-null. Exponential in |sets| but
 /// degrees are constant; a combination cap guards misuse.
 bool feasible_choice(const TreeBwProblem& problem, int color,
-                     std::vector<int> fixed,
+                     const std::vector<int>& fixed,
                      const std::vector<LabelSet>& sets,
-                     std::vector<int>* pick) {
+                     ChoiceScratch& scratch, std::vector<int>* pick) {
   std::int64_t combos = 1;
   for (LabelSet s : sets) {
     combos *= std::max(1, __builtin_popcount(s));
@@ -48,17 +55,20 @@ bool feasible_choice(const TreeBwProblem& problem, int color,
       throw std::runtime_error("tree_bw: combination explosion");
     }
   }
-  std::vector<int> chosen(sets.size(), -1);
   // Depth-first over the free edges.
-  std::vector<int> stack_label(sets.size(), -1);
+  std::vector<int>& stack_label = scratch.stack_label;
+  std::vector<int>& multiset = scratch.multiset;
+  stack_label.assign(sets.size(), -1);
   std::size_t depth = 0;
   while (true) {
     if (depth == sets.size()) {
-      std::vector<int> multiset = fixed;
-      for (int l : stack_label) multiset.push_back(l);
+      multiset.assign(fixed.begin(), fixed.end());
+      multiset.insert(multiset.end(), stack_label.begin(), stack_label.end());
       std::sort(multiset.begin(), multiset.end());
       if (problem.allowed(color, multiset)) {
-        if (pick != nullptr) *pick = stack_label;
+        if (pick != nullptr) {
+          pick->assign(stack_label.begin(), stack_label.end());
+        }
         return true;
       }
       if (depth == 0) return false;
@@ -132,67 +142,122 @@ std::int64_t EdgeIndex::of(const Tree& t, NodeId v, int port) const {
             static_cast<std::size_t>(port)];
 }
 
-TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
-  TreeBwResult res;
-  const EdgeIndex edges = EdgeIndex::build(tree);
-  const std::vector<int> color = two_color(tree);
-  const auto dec = decomp::rake_compress(tree, 1, 4, /*split_paths=*/true);
+TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem,
+                           const decomp::Decomposition& dec,
+                           const EdgeIndex& edges) {
+  const auto n = static_cast<std::size_t>(tree.size());
+  if (dec.assignment.size() != n) {
+    throw std::invalid_argument(
+        "solve_tree_bw: decomposition size does not match the tree");
+  }
+  if (edges.id.size() != tree.adjacency().size()) {
+    throw std::invalid_argument(
+        "solve_tree_bw: edge index size does not match the tree");
+  }
+  if (dec.gamma != kDecompGamma || dec.ell != kDecompEll || dec.relaxed) {
+    throw std::invalid_argument(
+        "solve_tree_bw: needs the (gamma=1, ell=4, proper) decomposition");
+  }
 
-  const LabelSet all =
-      static_cast<LabelSet>((1u << problem.alphabet) - 1);
+  TreeBwResult res;
+  const std::vector<int> color = two_color(tree);
   std::vector<LabelSet> edge_set(static_cast<std::size_t>(edges.edge_count),
                                  0);
   res.edge_label.assign(static_cast<std::size_t>(edges.edge_count), -1);
 
-  auto key_of = [&](NodeId v) {
-    return decomp::layer_order_key(
-        dec.assignment[static_cast<std::size_t>(v)]);
+  // Layer keys, computed once, and the nodes ordered by (key, id). With
+  // gamma = 1 every rake sublayer is 1, so the key order is the order of
+  // the rank 2*(layer-1) + [compress]: a stable counting sort over at most
+  // 2*num_layers buckets replaces a comparison sort.
+  const auto rank_of = [](const decomp::LayerAssignment& a) {
+    return 2 * (a.layer - 1) + (a.kind == decomp::LayerKind::kCompress);
+  };
+  const auto layers = static_cast<std::size_t>(std::max(dec.num_layers, 0));
+  std::vector<std::int64_t> key(n);
+  std::vector<std::size_t> bucket(2 * layers + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const decomp::LayerAssignment& a = dec.assignment[v];
+    const bool rake = a.kind == decomp::LayerKind::kRake;
+    if (a.layer < 1 || a.layer > dec.num_layers ||
+        a.sublayer != (rake ? 1 : 0)) {
+      throw std::invalid_argument(
+          "solve_tree_bw: decomposition assigns node " + std::to_string(v) +
+          " outside its layers");
+    }
+    key[v] = decomp::layer_order_key(a);
+    ++bucket[static_cast<std::size_t>(rank_of(a)) + 1];
+  }
+  for (std::size_t b = 1; b < bucket.size(); ++b) bucket[b] += bucket[b - 1];
+  std::vector<NodeId> order(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    order[bucket[static_cast<std::size_t>(rank_of(dec.assignment[v]))]++] =
+        static_cast<NodeId>(v);
+  }
+  const auto key_of = [&](NodeId v) {
+    return key[static_cast<std::size_t>(v)];
   };
 
-  // Group nodes by layer key; compress chains handled as components.
-  std::vector<NodeId> order(static_cast<std::size_t>(tree.size()));
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    order[static_cast<std::size_t>(v)] = v;
-  }
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const auto ka = key_of(a), kb = key_of(b);
-    return ka != kb ? ka < kb : a < b;
-  });
+  // Solve-scoped buffers: every per-node and per-chain step below reuses
+  // these instead of allocating.
+  ChoiceScratch scratch;
+  std::vector<int> in_ports, out_ports, set_ports, fixed, fixed_last, picks;
+  std::vector<LabelSet> sets;
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<char> reach;
+  std::vector<int> pred, chain_edges;
+  std::vector<NodeId> comp;
+
+  // feasible_choice for node v over the label-sets currently in `sets`.
+  auto feasible = [&](NodeId v, const std::vector<int>& fixed_labels,
+                      std::vector<int>* pick) {
+    return feasible_choice(problem, color[static_cast<std::size_t>(v)],
+                           fixed_labels, sets, scratch, pick);
+  };
 
   // Splits a node's ports into (incoming = lower key, outgoing ports).
-  auto split_ports = [&](NodeId v, std::vector<int>& in_ports,
-                         std::vector<int>& out_ports) {
+  auto split_ports = [&](NodeId v) {
+    in_ports.clear();
+    out_ports.clear();
     const auto nb = tree.neighbors(v);
     for (std::size_t p = 0; p < nb.size(); ++p) {
-      if (key_of(nb[p]) < key_of(v)) {
-        in_ports.push_back(static_cast<int>(p));
-      } else {
-        out_ports.push_back(static_cast<int>(p));
-      }
+      (key_of(nb[p]) < key_of(v) ? in_ports : out_ports)
+          .push_back(static_cast<int>(p));
+    }
+  };
+  // Fills `sets` (and `set_ports`) with the label-sets on v's incoming
+  // edges from raked subtrees, skipping compress-chain mates.
+  auto gather_in_sets = [&](NodeId v) {
+    split_ports(v);
+    sets.clear();
+    set_ports.clear();
+    for (int p : in_ports) {
+      const NodeId u = tree.neighbors(v)[static_cast<std::size_t>(p)];
+      if (key_of(u) == key_of(v)) continue;  // chain mate
+      sets.push_back(edge_set[static_cast<std::size_t>(edges.of(tree, v, p))]);
+      set_ports.push_back(p);
     }
   };
 
   // --- Chain discovery for compress components ----------------------
-  std::vector<char> chain_done(static_cast<std::size_t>(tree.size()), 0);
+  std::vector<char> chain_done(n, 0);
   auto collect_chain = [&](NodeId v) {
-    // Same compress layer, connected.
-    std::vector<NodeId> comp;
-    std::deque<NodeId> q{v};
+    // Same compress layer, connected (BFS with `comp` as the queue).
+    comp.clear();
+    comp.push_back(v);
     chain_done[static_cast<std::size_t>(v)] = 1;
-    while (!q.empty()) {
-      const NodeId u = q.front();
-      q.pop_front();
-      comp.push_back(u);
+    for (std::size_t head = 0; head < comp.size(); ++head) {
+      const NodeId u = comp[head];
       for (NodeId w : tree.neighbors(u)) {
         if (!chain_done[static_cast<std::size_t>(w)] &&
             key_of(w) == key_of(u)) {
           chain_done[static_cast<std::size_t>(w)] = 1;
-          q.push_back(w);
+          comp.push_back(w);
         }
       }
     }
     // Order the component as a path.
     std::vector<NodeId> path;
+    path.reserve(comp.size());
     NodeId end = comp.front();
     for (NodeId u : comp) {
       int same = 0;
@@ -215,157 +280,114 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
     return path;
   };
 
-  // The per-chain DP. Computes feasible (left, right) outgoing pairs,
-  // or, when `commit` is non-null with fixed outgoing labels, commits
-  // chain-edge and incoming labels.
-  struct ChainPlan {
-    std::vector<NodeId> path;
-    int left_out_port = -1;   // on path.front(), toward higher (or -1)
-    int right_out_port = -1;  // on path.back()
+  // Outgoing ports of a compress chain (toward strictly higher keys) on
+  // its front and back node; -1 when absent. Chain i's nodes are
+  // res.chains[i].nodes.
+  struct ChainPorts {
+    int left_out_port = -1;
+    int right_out_port = -1;
   };
-  auto chain_pairs = [&](const ChainPlan& plan, int fixed_left,
-                         int fixed_right, bool commit) {
-    const auto& path = plan.path;
+  const int a = problem.alphabet;
+
+  // Commits a chain whose DP reached its last node `len-1` from chain
+  // edge label `e_prev` (unused when the chain is one node): walks the
+  // predecessors back, labels the chain edges, then picks the incoming
+  // labels at every chain node. It reuses the DP's node buffers (`sets`,
+  // `fixed`, ...), so the DP must stop once it has committed.
+  auto commit_chain = [&](const std::vector<NodeId>& path, int e_prev) {
     const std::size_t len = path.size();
-    // feasible[i][e] = set of left labels for which a labeling of the
-    // prefix up to chain edge i (label e) exists. For reconstruction we
-    // store, per (i, e, left), one predecessor edge label.
-    // Simpler: DP per left label separately (alphabet is tiny).
-    std::vector<std::pair<int, int>> pairs;
-    const int a = problem.alphabet;
-    std::vector<int> lefts, rights;
+    chain_edges.assign(len - 1, -1);
+    if (len > 1) {
+      chain_edges[len - 2] = e_prev;
+      for (std::size_t j = len - 2; j > 0; --j) {
+        chain_edges[j - 1] = pred[j * static_cast<std::size_t>(a) +
+                                  static_cast<std::size_t>(chain_edges[j])];
+      }
+    }
+    for (std::size_t j = 0; j + 1 < len; ++j) {
+      const NodeId x = path[j];
+      const auto nb = tree.neighbors(x);
+      for (std::size_t p = 0; p < nb.size(); ++p) {
+        if (nb[p] == path[j + 1]) {
+          res.edge_label[static_cast<std::size_t>(
+              edges.of(tree, x, static_cast<int>(p)))] = chain_edges[j];
+        }
+      }
+    }
+    for (const NodeId x : path) {
+      gather_in_sets(x);
+      fixed.clear();
+      for (int p = 0; p < tree.degree(x); ++p) {
+        const int lab =
+            res.edge_label[static_cast<std::size_t>(edges.of(tree, x, p))];
+        if (lab >= 0 &&
+            std::find(set_ports.begin(), set_ports.end(), p) ==
+                set_ports.end()) {
+          fixed.push_back(lab);
+        }
+      }
+      if (!feasible(x, fixed, &picks)) {
+        throw std::logic_error("tree_bw: chain commit infeasible");
+      }
+      for (std::size_t s = 0; s < set_ports.size(); ++s) {
+        res.edge_label[static_cast<std::size_t>(
+            edges.of(tree, x, set_ports[s]))] = picks[s];
+      }
+    }
+  };
+
+  // The per-chain DP. Fills `pairs` with the feasible (left, right)
+  // outgoing pairs or, when `commit` is set with fixed outgoing labels,
+  // commits the first witness (chain-edge and incoming labels) and stops.
+  auto chain_pairs = [&](const std::vector<NodeId>& path,
+                         const ChainPorts& ports, int fixed_left,
+                         int fixed_right, bool commit) {
+    const std::size_t len = path.size();
+    const auto ua = static_cast<std::size_t>(a);
+    pairs.clear();
+    // DP per left label separately (the alphabet is tiny).
     for (int l = 0; l < a; ++l) {
-      if (fixed_left < 0 || l == fixed_left) lefts.push_back(l);
-    }
-    for (int r = 0; r < a; ++r) {
-      if (fixed_right < 0 || r == fixed_right) rights.push_back(r);
-    }
-    for (int l : lefts) {
-      // reach[i][e]: prefix through node i with chain edge (i,i+1)
-      // labeled e is completable; pred[i][e] = previous edge label.
-      std::vector<std::vector<char>> reach(
-          len, std::vector<char>(static_cast<std::size_t>(a), 0));
-      std::vector<std::vector<int>> pred(
-          len, std::vector<int>(static_cast<std::size_t>(a), -1));
+      if (fixed_left >= 0 && l != fixed_left) continue;
+      // reach[i*a+e]: prefix through node i with chain edge (i,i+1)
+      // labeled e is completable; pred[i*a+e] = previous edge label.
+      reach.assign(len * ua, 0);
+      pred.assign(len * ua, -1);
       for (std::size_t i = 0; i < len; ++i) {
         const NodeId v = path[i];
-        std::vector<int> in_ports, out_ports;
-        split_ports(v, in_ports, out_ports);
-        // Incoming label-sets from raked subtrees (exclude chain mates
-        // and the outgoing-to-higher port).
-        std::vector<LabelSet> sets;
-        for (int p : in_ports) {
-          const NodeId u = tree.neighbors(v)[static_cast<std::size_t>(p)];
-          if (key_of(u) == key_of(v)) continue;  // chain mate
-          sets.push_back(
-              edge_set[static_cast<std::size_t>(edges.of(tree, v, p))]);
-        }
+        gather_in_sets(v);
         const bool first = (i == 0);
         const bool last = (i + 1 == len);
         for (int e_prev = 0; e_prev < (first ? 1 : a); ++e_prev) {
-          if (!first && !reach[i - 1][static_cast<std::size_t>(e_prev)]) {
+          if (!first &&
+              !reach[(i - 1) * ua + static_cast<std::size_t>(e_prev)]) {
             continue;
           }
           for (int e_next = 0; e_next < (last ? 1 : a); ++e_next) {
-            std::vector<int> fixed;
+            fixed.clear();
             if (first) {
-              if (plan.left_out_port >= 0) fixed.push_back(l);
+              if (ports.left_out_port >= 0) fixed.push_back(l);
             } else {
               fixed.push_back(e_prev);
             }
-            if (last) {
-              // right outgoing handled by caller loop below
-            } else {
-              fixed.push_back(e_next);
-            }
             if (!last) {
-              if (feasible_choice(problem,
-                                  color[static_cast<std::size_t>(v)],
-                                  fixed, sets, nullptr)) {
-                reach[i][static_cast<std::size_t>(e_next)] = 1;
-                if (pred[i][static_cast<std::size_t>(e_next)] < 0) {
-                  pred[i][static_cast<std::size_t>(e_next)] =
-                      first ? -2 : e_prev;
-                }
+              fixed.push_back(e_next);
+              if (feasible(v, fixed, nullptr)) {
+                const std::size_t at =
+                    i * ua + static_cast<std::size_t>(e_next);
+                reach[at] = 1;
+                if (pred[at] < 0) pred[at] = first ? -2 : e_prev;
               }
-            } else {
-              for (int r : rights) {
-                std::vector<int> fixed_last = fixed;
-                if (plan.right_out_port >= 0) fixed_last.push_back(r);
-                if (feasible_choice(problem,
-                                    color[static_cast<std::size_t>(v)],
-                                    fixed_last, sets, nullptr)) {
-                  // For single-node chains the left label is unused
-                  // unless there is a left port; normalize.
-                  pairs.emplace_back(l, r);
-                  if (commit) {
-                    // Reconstruct: walk predecessors backward.
-                    std::vector<int> chain_edges(len >= 1 ? len - 1 : 0,
-                                                 -1);
-                    int cur = first ? -2 : e_prev;
-                    if (!first) {
-                      chain_edges[i - 1] = e_prev;
-                      for (std::size_t j = i - 1; j > 0; --j) {
-                        cur = pred[j][static_cast<std::size_t>(
-                            chain_edges[j])];
-                        chain_edges[j - 1] = cur;
-                      }
-                    }
-                    // Commit chain edges.
-                    for (std::size_t j = 0; j + 1 < len; ++j) {
-                      const NodeId x = path[j];
-                      const auto nb = tree.neighbors(x);
-                      for (std::size_t p = 0; p < nb.size(); ++p) {
-                        if (nb[p] == path[j + 1]) {
-                          res.edge_label[static_cast<std::size_t>(
-                              edges.of(tree, x, static_cast<int>(p)))] =
-                              chain_edges[j];
-                        }
-                      }
-                    }
-                    // Commit incoming picks at every chain node.
-                    for (std::size_t j = 0; j < len; ++j) {
-                      const NodeId x = path[j];
-                      std::vector<int> ip, op;
-                      split_ports(x, ip, op);
-                      std::vector<int> fixed2;
-                      std::vector<LabelSet> sets2;
-                      std::vector<int> set_ports;
-                      for (int p : ip) {
-                        const NodeId u =
-                            tree.neighbors(x)[static_cast<std::size_t>(p)];
-                        if (key_of(u) == key_of(x)) continue;
-                        sets2.push_back(edge_set[static_cast<std::size_t>(
-                            edges.of(tree, x, p))]);
-                        set_ports.push_back(p);
-                      }
-                      const auto nb = tree.neighbors(x);
-                      for (std::size_t p = 0; p < nb.size(); ++p) {
-                        const std::int64_t eid =
-                            edges.of(tree, x, static_cast<int>(p));
-                        const int lab = res.edge_label[
-                            static_cast<std::size_t>(eid)];
-                        if (lab >= 0 &&
-                            std::find(set_ports.begin(), set_ports.end(),
-                                      static_cast<int>(p)) ==
-                                set_ports.end()) {
-                          fixed2.push_back(lab);
-                        }
-                      }
-                      std::vector<int> picks;
-                      if (!feasible_choice(
-                              problem, color[static_cast<std::size_t>(x)],
-                              fixed2, sets2, &picks)) {
-                        throw std::logic_error(
-                            "tree_bw: chain commit infeasible");
-                      }
-                      for (std::size_t s = 0; s < set_ports.size(); ++s) {
-                        res.edge_label[static_cast<std::size_t>(
-                            edges.of(tree, x, set_ports[s]))] = picks[s];
-                      }
-                    }
-                    return pairs;  // committed one witness
-                  }
+              continue;
+            }
+            for (int r = 0; r < a; ++r) {
+              if (fixed_right >= 0 && r != fixed_right) continue;
+              fixed_last.assign(fixed.begin(), fixed.end());
+              if (ports.right_out_port >= 0) fixed_last.push_back(r);
+              if (feasible(v, fixed_last, nullptr)) {
+                pairs.emplace_back(l, r);
+                if (commit) {
+                  commit_chain(path, e_prev);
+                  return;  // committed one witness
                 }
               }
             }
@@ -373,45 +395,36 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
         }
       }
     }
-    return pairs;
   };
 
   // --- Bottom-up: label-sets ----------------------------------------
-  std::vector<ChainPlan> chains;
-  std::vector<int> chain_of(static_cast<std::size_t>(tree.size()), -1);
+  std::vector<ChainPorts> chains;
+  std::vector<int> chain_of(n, -1);
   for (NodeId v : order) {
     const auto& assign = dec.assignment[static_cast<std::size_t>(v)];
     if (assign.kind == decomp::LayerKind::kCompress) {
       if (chain_done[static_cast<std::size_t>(v)]) continue;
-      ChainPlan plan;
-      plan.path = collect_chain(v);
+      std::vector<NodeId> path = collect_chain(v);
+      ChainPorts ports;
       // Outgoing ports at both endpoints (toward strictly higher keys).
-      {
-        std::vector<int> ip, op;
-        split_ports(plan.path.front(), ip, op);
-        for (int p : op) {
-          const NodeId u = tree.neighbors(
-              plan.path.front())[static_cast<std::size_t>(p)];
-          if (key_of(u) > key_of(plan.path.front())) {
-            plan.left_out_port = p;
-          }
+      split_ports(path.front());
+      for (int p : out_ports) {
+        const NodeId u =
+            tree.neighbors(path.front())[static_cast<std::size_t>(p)];
+        if (key_of(u) > key_of(path.front())) ports.left_out_port = p;
+      }
+      if (path.size() > 1) {
+        split_ports(path.back());
+        for (int p : out_ports) {
+          const NodeId u =
+              tree.neighbors(path.back())[static_cast<std::size_t>(p)];
+          if (key_of(u) > key_of(path.back())) ports.right_out_port = p;
         }
       }
-      if (plan.path.size() > 1) {
-        std::vector<int> ip, op;
-        split_ports(plan.path.back(), ip, op);
-        for (int p : op) {
-          const NodeId u = tree.neighbors(
-              plan.path.back())[static_cast<std::size_t>(p)];
-          if (key_of(u) > key_of(plan.path.back())) {
-            plan.right_out_port = p;
-          }
-        }
-      }
-      const auto pairs = chain_pairs(plan, -1, -1, /*commit=*/false);
-      const Rectangle rect = independent_rectangle(pairs, problem.alphabet);
-      const bool need_left = plan.left_out_port >= 0;
-      const bool need_right = plan.right_out_port >= 0;
+      chain_pairs(path, ports, -1, -1, /*commit=*/false);
+      const Rectangle rect = independent_rectangle(pairs, a);
+      const bool need_left = ports.left_out_port >= 0;
+      const bool need_right = ports.right_out_port >= 0;
       if ((need_left && rect.left == 0) ||
           (need_right && rect.right == 0) || pairs.empty()) {
         res.failure = "empty class at compress chain near node " +
@@ -420,34 +433,33 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
       }
       if (need_left) {
         edge_set[static_cast<std::size_t>(edges.of(
-            tree, plan.path.front(), plan.left_out_port))] = rect.left;
+            tree, path.front(), ports.left_out_port))] = rect.left;
       }
       if (need_right) {
         edge_set[static_cast<std::size_t>(edges.of(
-            tree, plan.path.back(), plan.right_out_port))] = rect.right;
+            tree, path.back(), ports.right_out_port))] = rect.right;
       }
+      chain_of[static_cast<std::size_t>(path.front())] =
+          static_cast<int>(chains.size());
+      chains.push_back(ports);
       ChainRecord record;
-      record.nodes = plan.path;
+      record.nodes = std::move(path);
       record.left = need_left ? rect.left : 0;
       record.right = need_right ? rect.right : 0;
       res.chains.push_back(std::move(record));
-      chain_of[static_cast<std::size_t>(plan.path.front())] =
-          static_cast<int>(chains.size());
-      chains.push_back(std::move(plan));
       continue;
     }
 
     // Rake node: compute g(v) for the (unique) outgoing edge.
-    std::vector<int> in_ports, out_ports;
-    split_ports(v, in_ports, out_ports);
-    std::vector<LabelSet> sets;
+    split_ports(v);
+    sets.clear();
     for (int p : in_ports) {
       sets.push_back(
           edge_set[static_cast<std::size_t>(edges.of(tree, v, p))]);
     }
     if (out_ports.empty()) {
-      if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                           {}, sets, nullptr)) {
+      fixed.clear();
+      if (!feasible(v, fixed, nullptr)) {
         res.failure = "infeasible root node " + std::to_string(v);
         return res;
       }
@@ -460,11 +472,9 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
       return res;
     }
     LabelSet g = 0;
-    for (int o = 0; o < problem.alphabet; ++o) {
-      if (feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                          {o}, sets, nullptr)) {
-        g |= (1u << o);
-      }
+    for (int o = 0; o < a; ++o) {
+      fixed.assign(1, o);
+      if (feasible(v, fixed, nullptr)) g |= (1u << o);
     }
     if (g == 0) {
       res.failure = "empty label-set at node " + std::to_string(v);
@@ -472,7 +482,6 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
     }
     edge_set[static_cast<std::size_t>(edges.of(tree, v, out_ports[0]))] =
         g;
-    (void)all;
   }
 
   // --- Top-down: commit labels ---------------------------------------
@@ -482,21 +491,22 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
     if (assign.kind == decomp::LayerKind::kCompress) {
       const int ci = chain_of[static_cast<std::size_t>(v)];
       if (ci < 0) continue;  // interior / non-anchor chain nodes
-      const ChainPlan& plan = chains[static_cast<std::size_t>(ci)];
+      const ChainPorts& ports = chains[static_cast<std::size_t>(ci)];
+      const std::vector<NodeId>& path =
+          res.chains[static_cast<std::size_t>(ci)].nodes;
       int fixed_left = -1, fixed_right = -1;
-      if (plan.left_out_port >= 0) {
-        fixed_left = res.edge_label[static_cast<std::size_t>(edges.of(
-            tree, plan.path.front(), plan.left_out_port))];
+      if (ports.left_out_port >= 0) {
+        fixed_left = res.edge_label[static_cast<std::size_t>(
+            edges.of(tree, path.front(), ports.left_out_port))];
       } else {
         fixed_left = 0;  // unused by the DP when there is no left port
       }
-      if (plan.right_out_port >= 0) {
-        fixed_right = res.edge_label[static_cast<std::size_t>(edges.of(
-            tree, plan.path.back(), plan.right_out_port))];
+      if (ports.right_out_port >= 0) {
+        fixed_right = res.edge_label[static_cast<std::size_t>(
+            edges.of(tree, path.back(), ports.right_out_port))];
       }
-      const auto committed =
-          chain_pairs(plan, fixed_left, fixed_right, /*commit=*/true);
-      if (committed.empty()) {
+      chain_pairs(path, ports, fixed_left, fixed_right, /*commit=*/true);
+      if (pairs.empty()) {
         throw std::logic_error(
             "tree_bw: independent rectangle was not completable");
       }
@@ -505,9 +515,8 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
 
     // Rake node: outgoing already labeled by the higher layer (or none);
     // pick incoming labels.
-    std::vector<int> in_ports, out_ports;
-    split_ports(v, in_ports, out_ports);
-    std::vector<int> fixed;
+    split_ports(v);
+    fixed.clear();
     for (int p : out_ports) {
       const int lab = res.edge_label[static_cast<std::size_t>(
           edges.of(tree, v, p))];
@@ -516,14 +525,12 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
       }
       fixed.push_back(lab);
     }
-    std::vector<LabelSet> sets;
+    sets.clear();
     for (int p : in_ports) {
       sets.push_back(
           edge_set[static_cast<std::size_t>(edges.of(tree, v, p))]);
     }
-    std::vector<int> picks;
-    if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                         fixed, sets, &picks)) {
+    if (!feasible(v, fixed, &picks)) {
       throw std::logic_error("tree_bw: committed set not completable");
     }
     for (std::size_t s = 0; s < in_ports.size(); ++s) {
@@ -537,9 +544,13 @@ TreeBwResult solve_tree_bw(const Tree& tree, const TreeBwProblem& problem) {
 }
 
 TreeBwResult solve_tree_bw_global(const Tree& tree,
-                                  const TreeBwProblem& problem) {
+                                  const TreeBwProblem& problem,
+                                  const EdgeIndex& edges) {
+  if (edges.id.size() != tree.adjacency().size()) {
+    throw std::invalid_argument(
+        "solve_tree_bw_global: edge index size does not match the tree");
+  }
   TreeBwResult res;
-  const EdgeIndex edges = EdgeIndex::build(tree);
   const std::vector<int> color = two_color(tree);
   const NodeId n = tree.size();
   res.edge_label.assign(static_cast<std::size_t>(edges.edge_count), -1);
@@ -582,7 +593,9 @@ TreeBwResult solve_tree_bw_global(const Tree& tree,
   // v's subtree completes. Children's sets are independent (disjoint
   // subtrees), so feasible_choice's exists-a-choice semantics is exact.
   std::vector<LabelSet> up(static_cast<std::size_t>(n), 0);
+  ChoiceScratch scratch;
   std::vector<LabelSet> sets;
+  std::vector<int> fixed, set_ports, picks;
   for (auto it = bfs.rbegin(); it != bfs.rend(); ++it) {
     const NodeId v = *it;
     sets.clear();
@@ -594,8 +607,9 @@ TreeBwResult solve_tree_bw_global(const Tree& tree,
     if (parent[static_cast<std::size_t>(v)] == graph::kInvalidNode) {
       // Component root: solvable iff some choice over the children's
       // sets completes the root's own multiset constraint.
+      fixed.clear();
       if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                           {}, sets, nullptr)) {
+                           fixed, sets, scratch, nullptr)) {
         res.failure =
             "global DP: no completion at root " + std::to_string(v);
         return res;
@@ -604,8 +618,9 @@ TreeBwResult solve_tree_bw_global(const Tree& tree,
     }
     LabelSet g = 0;
     for (int o = 0; o < problem.alphabet; ++o) {
+      fixed.assign(1, o);
       if (feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                          {o}, sets, nullptr)) {
+                          fixed, sets, scratch, nullptr)) {
         g |= (1u << o);
       }
     }
@@ -620,22 +635,21 @@ TreeBwResult solve_tree_bw_global(const Tree& tree,
   // Top-down commit in BFS order: the parent edge's label is fixed when
   // v is reached; choose child-edge labels from the children's up-sets.
   for (const NodeId v : bfs) {
-    std::vector<int> fixed;
+    fixed.clear();
     if (parent[static_cast<std::size_t>(v)] != graph::kInvalidNode) {
       fixed.push_back(res.edge_label[static_cast<std::size_t>(edges.of(
           tree, v, parent_port[static_cast<std::size_t>(v)]))]);
     }
     sets.clear();
-    std::vector<int> set_ports;
+    set_ports.clear();
     const auto nb = tree.neighbors(v);
     for (std::size_t p = 0; p < nb.size(); ++p) {
       if (nb[p] == parent[static_cast<std::size_t>(v)]) continue;
       sets.push_back(up[static_cast<std::size_t>(nb[p])]);
       set_ports.push_back(static_cast<int>(p));
     }
-    std::vector<int> picks;
     if (!feasible_choice(problem, color[static_cast<std::size_t>(v)],
-                         fixed, sets, &picks)) {
+                         fixed, sets, scratch, &picks)) {
       throw std::logic_error("tree_bw: global DP commit infeasible");
     }
     for (std::size_t s = 0; s < set_ports.size(); ++s) {

@@ -8,7 +8,8 @@
 // which covers every use the paper makes of the formalism in Section 11.
 //
 // The solver follows the paper's pipeline:
-//   1. compute a (gamma, ell, L)-decomposition (Definition 71);
+//   1. take a (gamma, ell, L)-decomposition (Definition 71), computed by
+//      the caller;
 //   2. sweep layers bottom-up (Definition 75 order), assigning to each
 //      rake node's outgoing edge the label-set g(v) of Definition 74 and
 //      to each compress path's two outgoing edges the canonical
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "bw/path_lcl.hpp"
+#include "decomp/rake_compress.hpp"
 #include "graph/tree.hpp"
 
 namespace lcl::bw {
@@ -81,17 +83,36 @@ struct EdgeIndex {
   [[nodiscard]] std::int64_t of(const Tree& t, NodeId v, int port) const;
 };
 
-/// Runs the generic rake-and-compress solver.
+/// The decomposition parameters the generic solver assumes: a proper
+/// (split_paths = true) rake-and-compress decomposition with gamma = 1
+/// and ell = 4, i.e. decomp::rake_compress(tree, kDecompGamma, kDecompEll,
+/// true).
+inline constexpr int kDecompGamma = 1;
+inline constexpr int kDecompEll = 4;
+
+/// Runs the generic rake-and-compress solver on a caller-supplied
+/// decomposition `dec` of `tree` (the kDecompGamma/kDecompEll proper one)
+/// and edge index `edges` (EdgeIndex::build(tree)). The caller builds
+/// both once and may reuse them, e.g. for its own round charging and for
+/// the solve_tree_bw_global fallback. Throws std::invalid_argument when
+/// `dec` or `edges` does not match the tree, or `dec` has other
+/// parameters. O(n) time for a constant alphabet and degree; the solve
+/// reuses solve-scoped buffers instead of allocating per node.
 [[nodiscard]] TreeBwResult solve_tree_bw(const Tree& tree,
-                                         const TreeBwProblem& problem);
+                                         const TreeBwProblem& problem,
+                                         const decomp::Decomposition& dec,
+                                         const EdgeIndex& edges);
 
 /// Exact global solver: roots every component and runs the classic
 /// bottom-up feasible-label DP followed by a top-down commit, with no
 /// canonical-rectangle restriction. Solves exactly the instances that
 /// admit *any* labeling (the Theta(log n)-schedule fallback for problems
 /// the flexible generic solver rejects, e.g. parity-rigid chains).
+/// `edges` is the caller's EdgeIndex::build(tree); throws
+/// std::invalid_argument when it does not match the tree.
 [[nodiscard]] TreeBwResult solve_tree_bw_global(const Tree& tree,
-                                               const TreeBwProblem& problem);
+                                               const TreeBwProblem& problem,
+                                               const EdgeIndex& edges);
 
 /// Verifies an edge labeling against the problem (independent checker).
 [[nodiscard]] std::string check_tree_bw(const Tree& tree,

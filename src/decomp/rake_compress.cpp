@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <stdexcept>
 
 namespace lcl::decomp {
@@ -9,17 +10,31 @@ namespace lcl::decomp {
 namespace {
 
 /// Working state for the peeling process. The per-(sub)step worksets
-/// (`eligible`, `peel`, chain scanning marks) live here and are re-`assign`ed
-/// rather than re-allocated, so one decomposition performs a constant
-/// number of heap allocations regardless of the layer count.
+/// (`eligible`, `peel`, chain scanning marks and buffers) live here and
+/// are reused rather than re-allocated, so one decomposition performs a
+/// constant number of heap allocations regardless of the layer count.
+///
+/// `cand` is the rake worklist: every alive node of remaining degree <= 1
+/// that can still become rake-eligible. It is seeded with the initial
+/// leaves and isolated nodes, and `remove()` appends a neighbor whose
+/// degree drops to <= 1. A rake sub-step scans `cand` instead of all n
+/// nodes, so the rake work is O(n) over the whole run plus O(1) per
+/// sub-step, whatever gamma is. The compress step scans `alive_list`, the
+/// alive nodes in increasing id order, compacted once per layer.
 struct Peeler {
   const Tree& tree;
   std::vector<int> degree;      // remaining degree
   std::vector<char> removed;    // 1 once assigned
+  std::vector<char> queued;     // 1 while the node sits in `cand`
   std::vector<char> eligible;   // rake-substep workset
-  std::vector<char> in_chain;   // compress-step workset
-  std::vector<char> visited;    // compress-step chain scan marks
+  std::vector<char> in_chain;   // compress-step workset (alive nodes)
+  std::vector<char> visited;    // compress-step chain scan marks (alive)
+  std::vector<NodeId> cand;     // rake worklist
+  std::vector<NodeId> elig;     // nodes marked in `eligible` this substep
   std::vector<NodeId> peel;     // nodes raked this substep
+  std::vector<NodeId> alive_list;    // alive nodes, increasing
+  std::vector<NodeId> chain_nodes;   // this layer's chains, concatenated
+  std::vector<std::size_t> chain_start;  // chain i = [start[i], start[i+1])
   Decomposition out;
   int step = 0;  // global peeling-time counter
 
@@ -27,10 +42,17 @@ struct Peeler {
     const std::size_t n = static_cast<std::size_t>(t.size());
     degree.resize(n);
     removed.assign(n, 0);
+    queued.assign(n, 0);
+    eligible.assign(n, 0);
+    in_chain.assign(n, 0);
+    visited.assign(n, 0);
+    alive_list.resize(n);
     out.assignment.resize(n);
     out.assign_step.assign(n, 0);
     for (NodeId v = 0; v < t.size(); ++v) {
       degree[static_cast<std::size_t>(v)] = t.degree(v);
+      alive_list[static_cast<std::size_t>(v)] = v;
+      if (t.degree(v) <= 1) enqueue(v);
     }
   }
 
@@ -38,19 +60,19 @@ struct Peeler {
     return removed[static_cast<std::size_t>(v)] == 0;
   }
 
+  void enqueue(NodeId v) {
+    queued[static_cast<std::size_t>(v)] = 1;
+    cand.push_back(v);
+  }
+
   void remove(NodeId v, LayerAssignment a) {
     removed[static_cast<std::size_t>(v)] = 1;
     out.assignment[static_cast<std::size_t>(v)] = a;
     out.assign_step[static_cast<std::size_t>(v)] = step;
     for (NodeId u : tree.neighbors(v)) {
-      if (alive(u)) --degree[static_cast<std::size_t>(u)];
+      const auto ui = static_cast<std::size_t>(u);
+      if (alive(u) && --degree[ui] <= 1 && queued[ui] == 0) enqueue(u);
     }
-  }
-
-  [[nodiscard]] std::int64_t alive_count() const {
-    std::int64_t c = 0;
-    for (char r : removed) c += (r == 0);
-    return c;
   }
 };
 
@@ -71,6 +93,21 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
   p.out.ell = ell;
   p.out.relaxed = !split_paths;
 
+  // A pinned node of degree 1 rakes only if its last neighbor is pinned
+  // too and has the larger LOCAL id (mutual pins resolve by id to avoid
+  // stalling); otherwise it waits until its degree drops to 0.
+  auto pinned_waits = [&](NodeId v) {
+    if (!is_pinned(v) || p.degree[static_cast<std::size_t>(v)] != 1) {
+      return false;
+    }
+    NodeId last = graph::kInvalidNode;
+    for (NodeId u : tree.neighbors(v)) {
+      if (p.alive(u)) last = u;
+    }
+    return !(last != graph::kInvalidNode && is_pinned(last) &&
+             tree.local_id(v) < tree.local_id(last));
+  };
+
   std::int64_t remaining = tree.size();
   int layer = 0;
   while (remaining > 0) {
@@ -78,6 +115,7 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
     if (layer > max_layers) {
       throw std::runtime_error("rake_compress: layer budget exceeded");
     }
+    const std::int64_t remaining_at_start = remaining;
 
     // gamma rake sub-steps. Two adjacent rake-eligible nodes (the final
     // pair of a path component) must not share a sublayer (Definition 71
@@ -85,33 +123,30 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
     // in the next sub-step.
     for (int j = 1; j <= gamma && remaining > 0; ++j) {
       ++p.step;
-      std::vector<char>& eligible = p.eligible;
-      eligible.assign(static_cast<std::size_t>(tree.size()), 0);
-      for (NodeId v = 0; v < tree.size(); ++v) {
-        if (!p.alive(v) || p.degree[static_cast<std::size_t>(v)] > 1) {
+      // Mark this sub-step's eligible nodes from the worklist, dropping
+      // dead entries and waiting pinned nodes. A waiting pinned node's
+      // last neighbor cannot change while it waits, so it stays blocked
+      // until that neighbor is removed; `remove()` re-queues it then.
+      std::vector<NodeId>& cand = p.cand;
+      std::vector<NodeId>& elig = p.elig;
+      elig.clear();
+      std::size_t keep = 0;
+      for (const NodeId v : cand) {
+        if (!p.alive(v) || pinned_waits(v)) {
+          p.queued[static_cast<std::size_t>(v)] = 0;
           continue;
         }
-        if (is_pinned(v) && p.degree[static_cast<std::size_t>(v)] == 1) {
-          // A pinned node waits unless its last neighbor is also pinned
-          // (mutual pins resolve by id to avoid stalling).
-          NodeId last = graph::kInvalidNode;
-          for (NodeId u : tree.neighbors(v)) {
-            if (p.alive(u)) last = u;
-          }
-          if (!(last != graph::kInvalidNode && is_pinned(last) &&
-                tree.local_id(v) < tree.local_id(last))) {
-            continue;
-          }
-        }
-        eligible[static_cast<std::size_t>(v)] = 1;
+        cand[keep++] = v;
+        p.eligible[static_cast<std::size_t>(v)] = 1;
+        elig.push_back(v);
       }
+      cand.resize(keep);
       std::vector<NodeId>& peel = p.peel;
       peel.clear();
-      for (NodeId v = 0; v < tree.size(); ++v) {
-        if (!eligible[static_cast<std::size_t>(v)]) continue;
+      for (const NodeId v : elig) {
         bool deferred = false;
         for (NodeId u : tree.neighbors(v)) {
-          if (p.alive(u) && eligible[static_cast<std::size_t>(u)] &&
+          if (p.alive(u) && p.eligible[static_cast<std::size_t>(u)] &&
               tree.local_id(u) < tree.local_id(v)) {
             deferred = true;
             break;
@@ -119,7 +154,10 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
         }
         if (!deferred) peel.push_back(v);
       }
+      for (const NodeId v : elig) p.eligible[static_cast<std::size_t>(v)] = 0;
       if (peel.empty()) break;  // nothing rakes; go to compress
+      // Every node raked in one sub-step gets the same (layer, j, step)
+      // and the peeled set is independent, so the order is immaterial.
       for (NodeId v : peel) {
         p.remove(v, {LayerKind::kRake, layer, j});
       }
@@ -127,22 +165,26 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
     }
     if (remaining == 0) break;
 
-    // Compress step: find maximal chains of alive degree-2 nodes.
+    // Compress step: find maximal chains of alive degree-2 nodes. Only
+    // alive nodes are scanned and marked; dead ones are never read (every
+    // mark lookup is guarded by `alive`).
     ++p.step;
+    std::vector<NodeId>& alive_list = p.alive_list;
+    std::erase_if(alive_list, [&](NodeId v) { return !p.alive(v); });
     std::vector<char>& in_chain = p.in_chain;
     std::vector<char>& visited = p.visited;
-    in_chain.assign(static_cast<std::size_t>(tree.size()), 0);
-    visited.assign(static_cast<std::size_t>(tree.size()), 0);
-    for (NodeId v = 0; v < tree.size(); ++v) {
+    for (const NodeId v : alive_list) {
       in_chain[static_cast<std::size_t>(v)] =
-          (p.alive(v) && !is_pinned(v) &&
-           p.degree[static_cast<std::size_t>(v)] == 2)
-              ? 1
-              : 0;
+          (!is_pinned(v) && p.degree[static_cast<std::size_t>(v)] == 2) ? 1
+                                                                        : 0;
+      visited[static_cast<std::size_t>(v)] = 0;
     }
 
-    std::vector<std::vector<NodeId>> chains;
-    for (NodeId v = 0; v < tree.size(); ++v) {
+    std::vector<NodeId>& chain_nodes = p.chain_nodes;
+    std::vector<std::size_t>& chain_start = p.chain_start;
+    chain_nodes.clear();
+    chain_start.assign(1, 0);
+    for (const NodeId v : alive_list) {
       if (!in_chain[static_cast<std::size_t>(v)] ||
           visited[static_cast<std::size_t>(v)]) {
         continue;
@@ -154,12 +196,11 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
       }
       if (chain_deg == 2) continue;  // interior; start from an end
       // Walk the chain from this end.
-      std::vector<NodeId> chain;
       NodeId prev = graph::kInvalidNode;
       NodeId cur = v;
       while (cur != graph::kInvalidNode) {
         visited[static_cast<std::size_t>(cur)] = 1;
-        chain.push_back(cur);
+        chain_nodes.push_back(cur);
         NodeId next = graph::kInvalidNode;
         for (NodeId u : tree.neighbors(cur)) {
           if (u != prev && p.alive(u) &&
@@ -172,11 +213,13 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
         prev = cur;
         cur = next;
       }
-      chains.push_back(std::move(chain));
+      chain_start.push_back(chain_nodes.size());
     }
 
-    bool compressed_any = false;
-    for (const auto& chain : chains) {
+    for (std::size_t c = 0; c + 1 < chain_start.size(); ++c) {
+      const std::span<const NodeId> chain(
+          chain_nodes.data() + chain_start[c],
+          chain_start[c + 1] - chain_start[c]);
       const std::int64_t len = static_cast<std::int64_t>(chain.size());
       if (len < ell) continue;  // too short; rakes away in later layers
       if (!split_paths) {
@@ -184,7 +227,6 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
           p.remove(v, {LayerKind::kCompress, layer, 0});
         }
         remaining -= len;
-        compressed_any = true;
         continue;
       }
       // Proper variant: split into segments of length in [ell, 2*ell] by
@@ -204,27 +246,17 @@ Decomposition rake_compress(const Tree& tree, int gamma, int ell,
                    {LayerKind::kCompress, layer, 0});
           --remaining;
         }
-        compressed_any = true;
         idx = seg_end + 1;  // skip the splitter (stays alive)
       }
     }
 
-    if (!compressed_any && remaining > 0) {
-      // Neither rake nor compress made progress: only possible if the
-      // remaining graph has chains shorter than ell bounded by high-degree
-      // nodes — impossible in a forest (some leaf always exists), so this
-      // indicates a cycle.
-      bool raked_possible = false;
-      for (NodeId v = 0; v < tree.size(); ++v) {
-        if (p.alive(v) && p.degree[static_cast<std::size_t>(v)] <= 1) {
-          raked_possible = true;
-          break;
-        }
-      }
-      if (!raked_possible) {
-        throw std::runtime_error(
-            "rake_compress: no progress (graph contains a cycle?)");
-      }
+    if (remaining == remaining_at_start) {
+      // A layer that removes nothing leaves the state unchanged, so no
+      // later layer can progress either: a cycle (no node of degree <= 1
+      // and no chain end), or pinned leaves waiting on an unpinned hub.
+      throw std::runtime_error(
+          "rake_compress: no progress (graph contains a cycle, or pinned "
+          "nodes can never rake)");
     }
   }
 

@@ -15,6 +15,13 @@
 // `assign_step` records the peeling time at which a node was removed (one
 // unit per rake sub-step / compress step); it is the distributed round in
 // which the node learns its layer, used by solvers for round charging.
+//
+// Cost: O(n * L) time for L layers, independent of gamma. Rake sub-steps
+// scan a worklist of the alive degree-<=1 nodes (not all n nodes), so all
+// rake sub-steps together cost O(n + number of sub-steps); the compress
+// step scans the nodes still alive, once per layer. With gamma = 1 the
+// alive count decays geometrically over the layers, so the whole
+// decomposition is O(n).
 #pragma once
 
 #include <cstdint>
@@ -63,7 +70,9 @@ struct Decomposition {
 /// If `split_paths` is true, long chains are split into [ell, 2*ell]
 /// segments (proper decomposition, Definition 71); splitters land in the
 /// next rake layer. Otherwise whole chains are compressed (relaxed,
-/// Definition 43). Throws if more than `max_layers` iterations are needed.
+/// Definition 43). Throws std::runtime_error if more than `max_layers`
+/// iterations are needed, or as soon as one iteration removes no node
+/// (a cycle, or pinned nodes that can never rake).
 ///
 /// `pinned` (optional, per node) delays a node's removal until it is the
 /// last of its component: pinned nodes neither compress nor rake while a

@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "bw/tree_problem.hpp"
+#include "decomp/rake_compress.hpp"
 #include "graph/builders.hpp"
 #include "graph/families.hpp"
 #include "problems/classify.hpp"
@@ -22,6 +23,16 @@ namespace {
 
 using problems::BwTable;
 using problems::ProblemClass;
+
+/// The generic solver on the decomposition and edge index it expects.
+bw::TreeBwResult solve_flexible(const graph::Tree& t,
+                                const bw::TreeBwProblem& problem) {
+  return bw::solve_tree_bw(
+      t, problem,
+      decomp::rake_compress(t, bw::kDecompGamma, bw::kDecompEll,
+                            /*split_paths=*/true),
+      bw::EdgeIndex::build(t));
+}
 
 // ---------------------------------------------------------------------------
 // Table representation.
@@ -54,7 +65,7 @@ TEST(LclGen, TableProblemAgreesWithBuiltinOnRandomTrees) {
   // problem the bw tests exercise: same solvability, checkable labels.
   const graph::Tree t = graph::make_random_tree(300, 3, 11);
   const auto res =
-      bw::solve_tree_bw(t, problems::edge_coloring_table(3, 3).to_problem());
+      solve_flexible(t, problems::edge_coloring_table(3, 3).to_problem());
   ASSERT_TRUE(res.solved) << res.failure;
   EXPECT_EQ(bw::check_tree_bw(t, bw::make_bw_edge_coloring(3),
                               res.edge_label),
@@ -362,8 +373,9 @@ TEST(CanonicalKeyProperty, RenderedFormatIsPinned) {
 TEST(TreeBwGlobal, SolvesParityRigidChainsTheFlexibleSolverRejects) {
   const graph::Tree t = graph::make_path(240);
   const auto problem = problems::two_coloring_table(3).to_problem();
-  EXPECT_FALSE(bw::solve_tree_bw(t, problem).solved);
-  const auto exact = bw::solve_tree_bw_global(t, problem);
+  EXPECT_FALSE(solve_flexible(t, problem).solved);
+  const auto exact =
+      bw::solve_tree_bw_global(t, problem, bw::EdgeIndex::build(t));
   ASSERT_TRUE(exact.solved) << exact.failure;
   EXPECT_EQ(bw::check_tree_bw(t, problem, exact.edge_label), "");
 }
@@ -372,8 +384,9 @@ TEST(TreeBwGlobal, AgreesWithFlexibleSolverOnSolvableProblems) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const graph::Tree t = graph::make_random_tree(350, 3, seed);
     const auto problem = problems::edge_coloring_table(3, 3).to_problem();
-    ASSERT_TRUE(bw::solve_tree_bw(t, problem).solved);
-    const auto exact = bw::solve_tree_bw_global(t, problem);
+    ASSERT_TRUE(solve_flexible(t, problem).solved);
+    const auto exact =
+      bw::solve_tree_bw_global(t, problem, bw::EdgeIndex::build(t));
     ASSERT_TRUE(exact.solved) << exact.failure;
     EXPECT_EQ(bw::check_tree_bw(t, problem, exact.edge_label), "");
   }
@@ -383,7 +396,8 @@ TEST(TreeBwGlobal, RejectsGenuinelyInfeasibleInstances) {
   // 2-edge-coloring a degree-3 star is impossible.
   const graph::Tree t = graph::make_star(3);
   const auto res = bw::solve_tree_bw_global(
-      t, problems::edge_coloring_table(2, 3).to_problem());
+      t, problems::edge_coloring_table(2, 3).to_problem(),
+      bw::EdgeIndex::build(t));
   EXPECT_FALSE(res.solved);
   EXPECT_NE(res.failure, "");
 }
@@ -391,7 +405,7 @@ TEST(TreeBwGlobal, RejectsGenuinelyInfeasibleInstances) {
 TEST(TreeBw, SolveRecordsCompressChains) {
   const graph::Tree t = graph::make_path(120);
   const auto res =
-      bw::solve_tree_bw(t, problems::edge_coloring_table(3, 3).to_problem());
+      solve_flexible(t, problems::edge_coloring_table(3, 3).to_problem());
   ASSERT_TRUE(res.solved);
   ASSERT_FALSE(res.chains.empty());
   std::size_t covered = 0;

@@ -4,8 +4,18 @@
 // unsolvable problems are detected via empty classes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
+#include "algo/bw_generic.hpp"
+#include "algo/registry.hpp"
 #include "bw/tree_problem.hpp"
+#include "decomp/rake_compress.hpp"
 #include "graph/builders.hpp"
+#include "graph/families.hpp"
+#include "problems/lclgen.hpp"
 
 namespace lcl {
 namespace {
@@ -13,9 +23,16 @@ namespace {
 using graph::NodeId;
 using graph::Tree;
 
+/// The decomposition the generic solver expects.
+decomp::Decomposition solver_decomposition(const Tree& t) {
+  return decomp::rake_compress(t, bw::kDecompGamma, bw::kDecompEll,
+                               /*split_paths=*/true);
+}
+
 void solve_and_check(const Tree& t, const bw::TreeBwProblem& p,
                      bool expect_solved = true) {
-  const auto res = bw::solve_tree_bw(t, p);
+  const auto res = bw::solve_tree_bw(t, p, solver_decomposition(t),
+                                     bw::EdgeIndex::build(t));
   if (!expect_solved) {
     EXPECT_FALSE(res.solved) << p.name;
     return;
@@ -81,7 +98,8 @@ TEST(TreeBw, CaterpillarMixesChainsAndRakes) {
 TEST(TreeBw, CheckerRejectsCorruption) {
   const Tree t = graph::make_path(30);
   const auto p = bw::make_bw_edge_coloring(3);
-  auto res = bw::solve_tree_bw(t, p);
+  auto res = bw::solve_tree_bw(t, p, solver_decomposition(t),
+                               bw::EdgeIndex::build(t));
   ASSERT_TRUE(res.solved);
   res.edge_label[5] = res.edge_label[4];  // adjacent edges same color
   EXPECT_NE(bw::check_tree_bw(t, p, res.edge_label), "");
@@ -92,6 +110,92 @@ TEST(TreeBw, HierarchicalInstances) {
   const auto inst = graph::make_hierarchical_lower_bound({5, 8});
   solve_and_check(inst.tree, bw::make_bw_edge_coloring(4));
   solve_and_check(inst.tree, bw::make_bw_sinkless());
+}
+
+TEST(TreeBw, RejectsMismatchedDecompositionOrEdgeIndex) {
+  const Tree t = graph::make_random_tree(200, 4, 5);
+  const Tree other = graph::make_random_tree(150, 4, 5);
+  const auto p = bw::make_bw_edge_coloring(4);
+  const bw::EdgeIndex edges = bw::EdgeIndex::build(t);
+  const decomp::Decomposition dec = solver_decomposition(t);
+  // Decomposition or edge index of another tree.
+  EXPECT_THROW((void)bw::solve_tree_bw(t, p, solver_decomposition(other),
+                                       edges),
+               std::invalid_argument);
+  EXPECT_THROW((void)bw::solve_tree_bw(t, p, dec,
+                                       bw::EdgeIndex::build(other)),
+               std::invalid_argument);
+  EXPECT_THROW((void)bw::solve_tree_bw_global(t, p,
+                                              bw::EdgeIndex::build(other)),
+               std::invalid_argument);
+  // Decompositions with other parameters than (gamma=1, ell=4, proper).
+  EXPECT_THROW((void)bw::solve_tree_bw(
+                   t, p, decomp::rake_compress(t, 2, bw::kDecompEll, true),
+                   edges),
+               std::invalid_argument);
+  EXPECT_THROW((void)bw::solve_tree_bw(
+                   t, p, decomp::rake_compress(t, bw::kDecompGamma, 3, true),
+                   edges),
+               std::invalid_argument);
+  EXPECT_THROW((void)bw::solve_tree_bw(
+                   t, p,
+                   decomp::rake_compress(t, bw::kDecompGamma,
+                                         bw::kDecompEll, false),
+                   edges),
+               std::invalid_argument);
+  // The matching inputs solve.
+  const auto res = bw::solve_tree_bw(t, p, dec, edges);
+  ASSERT_TRUE(res.solved) << res.failure;
+  EXPECT_EQ(bw::check_tree_bw(t, p, res.edge_label), "");
+}
+
+/// 64-bit FNV-1a.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void byte(unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  void i64(std::int64_t x) {
+    for (int k = 0; k < 8; ++k) {
+      byte(static_cast<unsigned char>((static_cast<std::uint64_t>(x) >>
+                                       (8 * k)) &
+                                      0xffu));
+    }
+  }
+  void str(const std::string& s) {
+    i64(static_cast<std::int64_t>(s.size()));
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+};
+
+TEST(BwGeneric, WitnessesArePinned) {
+  // The generic solver's mode, witness labeling and failure text over
+  // 1200 sampled (problem, instance) pairs, hashed. Any change to the
+  // decomposition, the enumeration order of the label-set sweeps or the
+  // fallback shows as a different hash.
+  Fnv1a hash;
+  std::array<int, 4> modes{};
+  for (const char* fam :
+       {"random_attach", "path", "galton_watson", "binary_pendant"}) {
+    for (std::uint64_t ps = 0; ps < 300; ++ps) {
+      Tree t = graph::make_family_instance(
+          fam, static_cast<NodeId>(300 + ps), 1000 + ps, 0);
+      algo::prepare_instance(t, algo::kNeedShuffledIds, 1000 + ps);
+      const algo::BwGenericProgram prog(t, problems::sample_table(ps));
+      ++modes[static_cast<std::size_t>(prog.mode())];
+      hash.i64(static_cast<std::int64_t>(prog.mode()));
+      hash.i64(static_cast<std::int64_t>(prog.edge_labels().size()));
+      for (const int l : prog.edge_labels()) hash.i64(l);
+      hash.str(prog.failure());
+    }
+  }
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    EXPECT_GT(modes[m], 0) << "mode " << m << " not covered";
+  }
+  EXPECT_EQ(hash.h, 10422234814215172452ull)
+      << "modes " << modes[0] << "/" << modes[1] << "/" << modes[2] << "/"
+      << modes[3];
 }
 
 }  // namespace

@@ -61,9 +61,10 @@ std::int64_t fda_kept_copies(const Inst& i, int d) {
     }
   }
   std::int64_t kept = 0;
+  algo::PruneScratch scratch;
   for (std::size_t c = 0; c < plan.components.size(); ++c) {
     const auto keep = algo::prune_component(
-        i.tree, plan, static_cast<int>(c), d, declined);
+        i.tree, plan, static_cast<int>(c), d, declined, scratch);
     for (char k : keep) kept += (k != 0);
   }
   return kept;

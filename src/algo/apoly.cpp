@@ -1,30 +1,15 @@
 #include "algo/apoly.hpp"
 
+#include <deque>
 #include <stdexcept>
 
-#include <deque>
-
+#include "algo/fast_decomp.hpp"
 #include "problems/labels.hpp"
-#include "problems/levels.hpp"
 
 namespace lcl::algo {
 
-namespace {
-
 using graph::NodeId;
 using problems::WeightOut;
-
-std::vector<int> active_levels(const graph::Tree& tree, int k) {
-  std::vector<char> mask(static_cast<std::size_t>(tree.size()), 0);
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    mask[static_cast<std::size_t>(v)] =
-        tree.input(v) == static_cast<int>(graph::WeightInput::kActive) ? 1
-                                                                       : 0;
-  }
-  return problems::compute_levels_masked(tree, k, mask);
-}
-
-}  // namespace
 
 ApolyProgram::ApolyProgram(const graph::Tree& tree, ApolyOptions options)
     : tree_(tree),
@@ -33,18 +18,9 @@ ApolyProgram::ApolyProgram(const graph::Tree& tree, ApolyOptions options)
                GenericOptions{opt_.variant, opt_.k, opt_.gammas,
                               opt_.id_space, opt_.symmetry_pad},
                active_levels(tree, opt_.k)) {
-  // Algorithm A on the weight subgraph: participants are weight nodes,
-  // input-A nodes are the weight nodes adjacent to at least one active.
+  // Algorithm A on the weight subgraph.
   const NodeId n = tree_.size();
-  std::vector<char> participates(static_cast<std::size_t>(n), 0);
-  std::vector<char> is_a(static_cast<std::size_t>(n), 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_active(v)) continue;
-    participates[static_cast<std::size_t>(v)] = 1;
-    for (NodeId u : tree_.neighbors(v)) {
-      if (is_active(u)) is_a[static_cast<std::size_t>(v)] = 1;
-    }
-  }
+  const auto [participates, is_a] = weight_subgraph(tree_);
   if (opt_.naive_all_copy) {
     // Every weight node copies; components root at an arbitrary input-A
     // node (BFS over the weight subgraph from all A-nodes at once).
@@ -158,6 +134,63 @@ void ApolyProgram::on_round(local::NodeCtx& ctx) {
     ctx.publish({label});
     ctx.terminate(static_cast<int>(WeightOut::kCopy),
                   static_cast<int>(label));
+  }
+}
+
+void ApolyProgram::on_init_batch(local::BatchCtx& batch,
+                                 local::NodeSpan nodes) {
+  // The generic kernel skips weight nodes; a weight node's per-node twin
+  // idles until Algorithm A's view radius.
+  generic_.on_init_batch(batch, nodes);
+  for (const NodeId v : nodes) {
+    if (!is_active(v)) batch.sleep_until(v, dfree_.view_radius);
+  }
+}
+
+void ApolyProgram::on_round_batch(local::BatchCtx& batch,
+                                  local::NodeSpan nodes) {
+  generic_.on_round_batch(batch, nodes);
+
+  const std::int64_t r = batch.round();
+  const std::int32_t* off = batch.offsets();
+  const NodeId* adj = batch.adjacency();
+  for (const NodeId v : nodes) {
+    if (is_active(v)) continue;
+    if (r < dfree_.view_radius) {
+      batch.sleep_until(v, dfree_.view_radius);
+      continue;
+    }
+    const auto i = static_cast<std::size_t>(v);
+    const int out = dfree_.output[i];
+    if (out == static_cast<int>(WeightOut::kConnect) ||
+        out == static_cast<int>(WeightOut::kDecline)) {
+      batch.terminate(v, out);
+      continue;
+    }
+
+    // Copy nodes wait for an active neighbor's termination (root) or the
+    // flood parent's publish; either wakes them.
+    std::int64_t label = -1;
+    if (dfree_.copy_depth[i] == 0) {
+      for (auto p = static_cast<std::size_t>(off[v]);
+           p < static_cast<std::size_t>(off[v + 1]); ++p) {
+        if (is_active(adj[p]) && batch.terminated_visible(adj[p])) {
+          label = batch.output(adj[p]).primary;
+          break;
+        }
+      }
+    } else {
+      const local::RegView reg = batch.reg(adj[static_cast<std::size_t>(
+          off[v] + flood_parent_port_[i])]);
+      if (!reg.empty()) label = reg[0];
+    }
+    if (label < 0) {
+      batch.sleep_until(v, local::BatchCtx::kUntilWoken);
+      continue;
+    }
+    batch.publish(v, {label});
+    batch.terminate(v, static_cast<int>(WeightOut::kCopy),
+                    static_cast<int>(label));
   }
 }
 

@@ -45,6 +45,13 @@ class ApolyProgram final : public local::Program {
 
   void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
+  /// Batch twins: active nodes go through the generic program's batch
+  /// kernel; weight nodes sleep until Algorithm A's view radius, and a
+  /// waiting Copy node then until a neighbor publishes or terminates.
+  void on_init_batch(local::BatchCtx& batch,
+                     local::NodeSpan nodes) override;
+  void on_round_batch(local::BatchCtx& batch,
+                      local::NodeSpan nodes) override;
 
   /// Outcome of Algorithm A (exposed for tests: d-free validity and the
   /// Lemma 40 Copy bound are asserted on it directly).

@@ -26,9 +26,19 @@
 // structure; the Lemma-52 pruning C(v) -> C'(v) is decided at run time by
 // the Pi^{3.5} program (it depends on whether the active neighbor already
 // terminated) via `prune_component`.
+//
+// Cost. Alive degrees are counters, the rake and degree-2 candidates
+// come from worklists the removals feed, and the Rule-3 scan walks a
+// list of the assigned output-free nodes, compacted once per iteration.
+// So iteration i costs O(Delta * (alive_i + unfinished_i)) rather than
+// O(n * Delta): O(n * Delta) in total, as the alive nodes decay
+// geometrically and, with early resolution, so do the unfinished ones
+// (Corollary 47). `prune_component` costs O(|C| * Delta) and allocates
+// nothing once its `PruneScratch` is sized.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/tree.hpp"
@@ -56,6 +66,8 @@ struct FastDecompPlan {
   std::vector<std::int64_t> ready_round;
   std::vector<NodeId> comp_root;   ///< C(v) root per member (or invalid)
   std::vector<int> comp_depth;     ///< depth within C(v) (-1 if none)
+  /// Position of a member in its component's BFS order (-1 if none).
+  std::vector<int> comp_index;
   std::vector<int> flood_parent_port;  ///< port toward depth-1 neighbor
   std::vector<std::vector<NodeId>> components;  ///< members per component,
                                                 ///< BFS order from root
@@ -64,6 +76,19 @@ struct FastDecompPlan {
   /// |{nodes without output after iteration i}| — Corollary 47's decay.
   std::vector<std::int64_t> unfinished_after_iteration;
 };
+
+/// The weight subgraph of a weighted instance (inputs
+/// graph::WeightInput): participants are the weight nodes, input-A nodes
+/// the weight nodes adjacent to at least one active node.
+struct WeightSubgraph {
+  std::vector<char> participates;
+  std::vector<char> is_a;
+};
+[[nodiscard]] WeightSubgraph weight_subgraph(const Tree& tree);
+
+/// Levels of the active subgraph (weight nodes masked out), as the
+/// embedded generic algorithm of A_poly and Pi^{3.5} needs them.
+[[nodiscard]] std::vector<int> active_levels(const Tree& tree, int k);
 
 /// Runs the planner on the subgraph induced by `participates`, with
 /// `is_a` marking input-A nodes (weight nodes adjacent to an active).
@@ -75,12 +100,30 @@ struct FastDecompPlan {
     const Tree& tree, const std::vector<char>& participates,
     const std::vector<char>& is_a, int d, bool early_resolution = true);
 
+/// Reusable buffers of `prune_component`, indexed by member position.
+/// They grow on demand; `reserve` sizes them once for a whole plan so
+/// later calls allocate nothing.
+struct PruneScratch {
+  std::vector<int> parent;       ///< member -> parent member
+  std::vector<int> child_begin;  ///< CSR offsets of the member children
+  std::vector<int> children;     ///< children, ascending per member
+  std::vector<std::int64_t> subtree;
+  std::vector<int> queue;
+  std::vector<int> kids;         ///< one member's children, sorted
+  std::vector<char> keep;
+
+  void reserve(const Tree& tree, const FastDecompPlan& plan);
+  /// Makes room for a component of `members` nodes.
+  void grow(std::size_t members);
+};
+
 /// Lemma 52: prunes C(root) to C'(root). Every kept Copy node may turn at
 /// most (d - #already-Declining-neighbors) of its heaviest child subtrees
-/// into Decline; returns keep[i] for components[comp].
+/// into Decline (ties: lower member position first); returns keep[i] for
+/// components[comp], a view into `scratch` valid until its next use.
 /// `is_declined(u)` must report whether u's final output is Decline.
-[[nodiscard]] std::vector<char> prune_component(
+[[nodiscard]] std::span<const char> prune_component(
     const Tree& tree, const FastDecompPlan& plan, int comp, int d,
-    const std::vector<char>& is_declined);
+    const std::vector<char>& is_declined, PruneScratch& scratch);
 
 }  // namespace lcl::algo

@@ -39,6 +39,15 @@ class Pi35Program final : public local::Program {
 
   void on_init(local::NodeCtx& ctx) override;
   void on_round(local::NodeCtx& ctx) override;
+  /// Batch twins: active nodes go through the generic program's batch
+  /// kernel; weight nodes sleep until their planned round (a Copy member
+  /// until the round after its root's decision), then a pruned member
+  /// until its Decline round and a waiting Copy node until a neighbor
+  /// publishes or terminates.
+  void on_init_batch(local::BatchCtx& batch,
+                     local::NodeSpan nodes) override;
+  void on_round_batch(local::BatchCtx& batch,
+                      local::NodeSpan nodes) override;
 
   [[nodiscard]] const FastDecompPlan& plan() const { return plan_; }
   /// Number of weight nodes whose final primary output is Copy — the
@@ -50,7 +59,11 @@ class Pi35Program final : public local::Program {
     return tree_.input(v) ==
            static_cast<int>(graph::WeightInput::kActive);
   }
-  void resolve_component(local::NodeCtx& ctx, graph::NodeId root);
+  /// Case 1 iff `active_done`; Case 2 prunes C(root) at round `round`.
+  void resolve_component(graph::NodeId root, bool active_done,
+                         std::int64_t round);
+  /// First round in which weight node v's per-node twin can act.
+  [[nodiscard]] std::int64_t first_action_round(graph::NodeId v) const;
 
   const graph::Tree& tree_;
   Pi35Options opt_;
@@ -63,6 +76,7 @@ class Pi35Program final : public local::Program {
   std::vector<std::int64_t> prune_round_;
   /// Per root: 0 undecided, 1 flood-all, 2 pruned.
   std::vector<char> case_of_root_;
+  PruneScratch prune_scratch_;
   std::int64_t copies_kept_ = 0;
 };
 

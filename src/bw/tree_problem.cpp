@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 
 #include "bw/label_sets.hpp"
 #include "decomp/rake_compress.hpp"
@@ -99,36 +100,43 @@ bool feasible_choice(const TreeBwProblem& problem, int color,
 EdgeIndex EdgeIndex::build(const Tree& t) {
   // Per-node port slots coincide with the Tree's CSR slots, so the id
   // array reuses the tree's own offsets instead of recomputing them.
+  // Ids go to edges in (lower endpoint, port) order; each one is also
+  // queued as (lower endpoint, id) in the upper endpoint's CSR range, at
+  // most one entry per lower neighbor, so the mirror pass reads it back
+  // through a neighbor -> id map in O(n + m).
   const auto off = t.offsets();
+  const auto n = static_cast<std::size_t>(t.size());
   EdgeIndex idx;
   idx.id.assign(t.adjacency().size(), -1);
+  std::vector<std::pair<NodeId, std::int64_t>> queued(t.adjacency().size());
+  std::vector<std::size_t> queued_count(n, 0);
   std::int64_t next = 0;
   for (NodeId v = 0; v < t.size(); ++v) {
+    const auto begin =
+        static_cast<std::size_t>(off[static_cast<std::size_t>(v)]);
     const auto nb = t.neighbors(v);
     for (std::size_t p = 0; p < nb.size(); ++p) {
-      if (nb[p] > v) {
-        idx.id[static_cast<std::size_t>(off[static_cast<std::size_t>(v)]) +
-               p] = next++;
-      }
+      if (nb[p] <= v) continue;
+      const auto u = static_cast<std::size_t>(nb[p]);
+      idx.id[begin + p] = next;
+      queued[static_cast<std::size_t>(off[u]) + queued_count[u]++] = {v, next};
+      ++next;
     }
   }
-  // Mirror the ids on the other endpoints.
+  // Mirror the ids on the upper endpoints.
+  std::vector<std::int64_t> id_of(n, -1);
   for (NodeId v = 0; v < t.size(); ++v) {
+    const auto begin =
+        static_cast<std::size_t>(off[static_cast<std::size_t>(v)]);
+    for (std::size_t q = 0; q < queued_count[static_cast<std::size_t>(v)];
+         ++q) {
+      const auto& [lower, id] = queued[begin + q];
+      id_of[static_cast<std::size_t>(lower)] = id;
+    }
     const auto nb = t.neighbors(v);
     for (std::size_t p = 0; p < nb.size(); ++p) {
       if (nb[p] < v) {
-        const NodeId u = nb[p];
-        const auto unb = t.neighbors(u);
-        for (std::size_t q = 0; q < unb.size(); ++q) {
-          if (unb[q] == v) {
-            idx.id[static_cast<std::size_t>(
-                       off[static_cast<std::size_t>(v)]) +
-                   p] =
-                idx.id[static_cast<std::size_t>(
-                           off[static_cast<std::size_t>(u)]) +
-                       q];
-          }
-        }
+        idx.id[begin + p] = id_of[static_cast<std::size_t>(nb[p])];
       }
     }
   }

@@ -11,10 +11,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "algo/apoly.hpp"
 #include "algo/generic_hier.hpp"
+#include "algo/pi35.hpp"
 #include "algo/registry.hpp"
+#include "core/experiment.hpp"
+#include "core/exponents.hpp"
 #include "graph/builders.hpp"
 #include "graph/families.hpp"
 #include "legacy_engine.hpp"
@@ -290,6 +295,44 @@ TEST(DifferentialFuzz, PerNodeBatchLegacyAgreeOnRandomFamilies) {
   }
 }
 
+/// One program under per-node dispatch and, wrapped in a step counter,
+/// under batch dispatch. Both runs must agree bit-identically and replay
+/// bit-identically on the frozen legacy engine; returns the per-node
+/// stats and the number of node-rounds the batch run stepped.
+std::pair<local::RunStats, std::int64_t> pernode_batch_legacy_agree(
+    const graph::Tree& tree, local::Program& pernode_program,
+    local::Program& batch_program) {
+  local::Engine pernode_engine(tree, local::KernelMode::kAuto,
+                               local::DispatchMode::kPerNode);
+  const local::RunStats pernode_stats = pernode_engine.run(pernode_program);
+
+  test::StepCounter counter(batch_program, tree.size());
+  local::Engine batch_engine(tree, local::KernelMode::kAuto,
+                             local::DispatchMode::kBatch);
+  // Bounded by the reference, so a node that never wakes shows up as a
+  // truncated run instead of idling to the default round limit.
+  const local::RunStats batch_stats =
+      batch_engine.run(counter, pernode_stats.rounds);
+
+  EXPECT_FALSE(pernode_stats.truncated);
+  EXPECT_FALSE(batch_stats.truncated);
+  EXPECT_EQ(pernode_stats.rounds, batch_stats.rounds);
+  EXPECT_EQ(pernode_stats.total_rounds, batch_stats.total_rounds);
+  EXPECT_EQ(pernode_stats.node_averaged, batch_stats.node_averaged);
+  EXPECT_EQ(pernode_stats.termination_round, batch_stats.termination_round);
+  EXPECT_EQ(pernode_stats.primaries(), batch_stats.primaries());
+  EXPECT_EQ(pernode_stats.secondaries(), batch_stats.secondaries());
+
+  ReplayProgram replay(pernode_stats.termination_round);
+  bench::legacy::Engine legacy(tree);
+  const bench::legacy::RunStats legacy_stats =
+      legacy.run(replay, pernode_stats.worst_case + 2);
+  EXPECT_EQ(legacy_stats.rounds, pernode_stats.rounds);
+  EXPECT_EQ(legacy_stats.total_rounds, pernode_stats.total_rounds);
+  EXPECT_EQ(replay.observed(), pernode_stats.termination_round);
+  return {pernode_stats, counter.stepped()};
+}
+
 // Dedicated heavy generic_hier case for its batch-kernel port: the
 // registry fuzz above only drives solvers at their default configs, so
 // the k-hierarchical program's interesting machinery — the Exempt rules
@@ -334,24 +377,10 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
     options.symmetry_pad = c.pad;
 
     algo::GenericHierProgram pernode_program(c.tree, options, levels);
-    local::Engine pernode_engine(c.tree, local::KernelMode::kAuto,
-                                 local::DispatchMode::kPerNode);
-    const local::RunStats pernode_stats =
-        pernode_engine.run(pernode_program);
-
     algo::GenericHierProgram batch_program(c.tree, options, levels);
-    local::Engine batch_engine(c.tree, local::KernelMode::kAuto,
-                               local::DispatchMode::kBatch);
-    const local::RunStats batch_stats = batch_engine.run(batch_program);
-
-    ASSERT_FALSE(pernode_stats.truncated);
-    EXPECT_EQ(pernode_stats.rounds, batch_stats.rounds);
-    EXPECT_EQ(pernode_stats.total_rounds, batch_stats.total_rounds);
-    EXPECT_EQ(pernode_stats.node_averaged, batch_stats.node_averaged);
-    EXPECT_EQ(pernode_stats.termination_round,
-              batch_stats.termination_round);
-    EXPECT_EQ(pernode_stats.primaries(), batch_stats.primaries());
-    EXPECT_EQ(pernode_stats.secondaries(), batch_stats.secondaries());
+    const local::RunStats pernode_stats =
+        pernode_batch_legacy_agree(c.tree, pernode_program, batch_program)
+            .first;
 
     // Both runs produced the same output; grade it once through the
     // paper's own checker.
@@ -359,16 +388,115 @@ TEST(DifferentialFuzz, GenericHierHeavyPerNodeBatchLegacyAgree) {
         problems::check_hierarchical_coloring(c.tree, c.k, c.variant,
                                               pernode_stats.primaries());
     EXPECT_TRUE(verdict.ok) << verdict.reason;
+  }
+}
 
-    // And the shared schedule replays bit-identically on the frozen
-    // legacy oracle.
-    ReplayProgram replay(pernode_stats.termination_round);
-    bench::legacy::Engine legacy(c.tree);
-    const bench::legacy::RunStats legacy_stats =
-        legacy.run(replay, pernode_stats.worst_case + 2);
-    EXPECT_EQ(legacy_stats.rounds, pernode_stats.rounds);
-    EXPECT_EQ(legacy_stats.total_rounds, pernode_stats.total_rounds);
-    EXPECT_EQ(replay.observed(), pernode_stats.termination_round);
+/// `t` with its node indices reversed (same ids, inputs and edges), so
+/// that dispatch order — ascending index — runs the other way through
+/// every component.
+graph::Tree reversed(const graph::Tree& t) {
+  const graph::NodeId n = t.size();
+  graph::TreeBuilder b(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    b.set_local_id(n - 1 - v, t.local_id(v));
+    b.set_input(n - 1 - v, t.input(v));
+    for (const graph::NodeId u : t.neighbors(v)) {
+      if (u > v) b.add_edge(n - 1 - v, n - 1 - u);
+    }
+  }
+  return b.finalize();
+}
+
+// Dedicated heavy case for the sleeping batch kernels of pi35 and
+// apoly: the registry fuzz drives them at default configs on plain
+// families, where few Copy components wait. Here they run on the
+// paper's weighted construction at k = 2 and 3 with explicit gammas and
+// a virtual-log* pad, so pi35's Case-2 pruning (coupled across
+// components through their Declines) and late Copy floods fire, and
+// apoly runs both Algorithm A and its naive_all_copy ablation. Each
+// instance also runs with its node indices reversed, so Copy members
+// are dispatched both before and after their root.
+TEST(DifferentialFuzz, WeightSolversHeavyPerNodeBatchLegacyAgree) {
+  struct WeightCase {
+    int delta;
+    int d;
+    int k;
+    std::int64_t pad;  // virtual log* (pi35) / symmetry pad (apoly)
+    std::int64_t target_n;
+  };
+  std::uint64_t id_seed = 4242;
+  for (const WeightCase c :
+       {WeightCase{7, 3, 2, 32, 6000}, WeightCase{6, 3, 3, 16, 4000},
+        WeightCase{9, 5, 2, 64, 3000}, WeightCase{7, 4, 3, 24, 5000}}) {
+    SCOPED_TRACE("delta=" + std::to_string(c.delta) +
+                 " d=" + std::to_string(c.d) + " k=" + std::to_string(c.k));
+
+    // Pi^{3.5}: the Decline-regime gammas are the skeleton lengths.
+    const auto ell35 = core::lower_bound_lengths(
+        core::alpha_profile_logstar(
+            core::efficiency_x_prime(c.delta, c.d), c.k),
+        static_cast<double>(c.pad), c.target_n);
+    graph::WeightedInstance wc35 =
+        graph::make_weighted_construction(ell35, c.delta);
+    graph::assign_ids(wc35.tree, graph::IdScheme::kShuffled, id_seed++);
+    const graph::Tree rev35 = reversed(wc35.tree);
+    algo::Pi35Options pi35;
+    pi35.k = c.k;
+    pi35.d = c.d;
+    pi35.symmetry_pad = c.pad;
+    for (int i = 0; i + 1 < c.k; ++i) {
+      pi35.gammas.push_back(std::max<std::int64_t>(
+          2, wc35.skeleton_lengths[static_cast<std::size_t>(i)]));
+    }
+    for (const graph::Tree* tree : {&std::as_const(wc35.tree), &rev35}) {
+      SCOPED_TRACE(tree == &rev35 ? "pi35 reversed" : "pi35");
+      algo::Pi35Program pernode(*tree, pi35);
+      algo::Pi35Program batch(*tree, pi35);
+      const auto [stats, stepped] =
+          pernode_batch_legacy_agree(*tree, pernode, batch);
+      EXPECT_EQ(pernode.copies_kept(), batch.copies_kept());
+      test::assert_valid(problems::check_weighted(
+          *tree, c.k, c.d, problems::Variant::kThreeHalf, stats.output));
+      // Case-2 pruning fired: fewer Copies survive than were planned.
+      std::int64_t planned = 0;
+      for (const algo::FdaRole role : pernode.plan().role) {
+        planned += role == algo::FdaRole::kCopyRoot ||
+                   role == algo::FdaRole::kCopyMember;
+      }
+      EXPECT_LT(pernode.copies_kept(), planned);
+      EXPECT_GT(pernode.copies_kept(), 0);
+      EXPECT_LT(stepped, stats.total_rounds);
+    }
+
+    // Pi^{2.5}: A_poly with the Lemma-33 gammas, then the ablation.
+    const double x = core::efficiency_x(c.delta, c.d);
+    const auto alphas = core::alpha_profile_poly(x, c.k);
+    const auto ell25 = core::lower_bound_lengths(
+        alphas, static_cast<double>(c.target_n), c.target_n);
+    graph::WeightedInstance wc25 =
+        graph::make_weighted_construction(ell25, c.delta);
+    graph::assign_ids(wc25.tree, graph::IdScheme::kShuffled, id_seed++);
+    const graph::Tree rev25 = reversed(wc25.tree);
+    for (const graph::Tree* tree : {&std::as_const(wc25.tree), &rev25}) {
+      for (const bool naive : {false, true}) {
+        SCOPED_TRACE(std::string(naive ? "apoly naive_all_copy" : "apoly") +
+                     (tree == &rev25 ? " reversed" : ""));
+        algo::ApolyOptions apoly;
+        apoly.k = c.k;
+        apoly.d = c.d;
+        apoly.gammas = core::gammas_from_profile(
+            alphas, static_cast<double>(tree->size()));
+        apoly.symmetry_pad = c.pad;
+        apoly.naive_all_copy = naive;
+        algo::ApolyProgram pernode(*tree, apoly);
+        algo::ApolyProgram batch(*tree, apoly);
+        const auto [stats, stepped] =
+            pernode_batch_legacy_agree(*tree, pernode, batch);
+        test::assert_valid(problems::check_weighted(
+            *tree, c.k, c.d, problems::Variant::kTwoHalf, stats.output));
+        EXPECT_LT(stepped, stats.total_rounds);
+      }
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "algo/bw_generic.hpp"
 #include "algo/registry.hpp"
@@ -40,6 +41,60 @@ void solve_and_check(const Tree& t, const bw::TreeBwProblem& p,
   ASSERT_TRUE(res.solved) << p.name << ": " << res.failure;
   const std::string err = bw::check_tree_bw(t, p, res.edge_label);
   EXPECT_EQ(err, "") << p.name;
+}
+
+/// The O(sum deg^2) builder EdgeIndex::build replaced, frozen as the
+/// oracle: ids in (lower endpoint, port) order, each mirrored by scanning
+/// the lower endpoint's whole adjacency.
+std::vector<std::int64_t> reference_edge_ids(const Tree& t) {
+  const auto off = t.offsets();
+  std::vector<std::int64_t> id(t.adjacency().size(), -1);
+  std::int64_t next = 0;
+  for (NodeId v = 0; v < t.size(); ++v) {
+    const auto nb = t.neighbors(v);
+    for (std::size_t p = 0; p < nb.size(); ++p) {
+      if (nb[p] > v) {
+        id[static_cast<std::size_t>(off[static_cast<std::size_t>(v)]) + p] =
+            next++;
+      }
+    }
+  }
+  for (NodeId v = 0; v < t.size(); ++v) {
+    const auto nb = t.neighbors(v);
+    for (std::size_t p = 0; p < nb.size(); ++p) {
+      if (nb[p] >= v) continue;
+      const auto unb = t.neighbors(nb[p]);
+      for (std::size_t q = 0; q < unb.size(); ++q) {
+        if (unb[q] == v) {
+          id[static_cast<std::size_t>(off[static_cast<std::size_t>(v)]) +
+             p] = id[static_cast<std::size_t>(
+                         off[static_cast<std::size_t>(nb[p])]) +
+                     q];
+        }
+      }
+    }
+  }
+  return id;
+}
+
+TEST(EdgeIndex, LinearBuildMatchesQuadraticReference) {
+  for (const std::string& family : graph::family_names()) {
+    for (const NodeId n : {2, 3, 50, 2000}) {
+      for (const std::uint64_t seed : {1, 2}) {
+        SCOPED_TRACE(family + " n=" + std::to_string(n) +
+                     " seed=" + std::to_string(seed));
+        const Tree t = graph::make_family_instance(family, n, seed);
+        const bw::EdgeIndex idx = bw::EdgeIndex::build(t);
+        EXPECT_EQ(idx.id, reference_edge_ids(t));
+        EXPECT_EQ(idx.edge_count,
+                  static_cast<std::int64_t>(t.adjacency().size() / 2));
+      }
+    }
+  }
+  // A 20k-node star: the hub's mirror scan made the old builder
+  // quadratic in the hub degree.
+  const Tree star = graph::make_star(20000);
+  EXPECT_EQ(bw::EdgeIndex::build(star).id, reference_edge_ids(star));
 }
 
 TEST(TreeBw, FreeProblemOnEverything) {

@@ -9,5 +9,5 @@
 #include "scenario.hpp"
 
 int main(int argc, char** argv) {
-  return lcl::bench::cli_main(argc, argv, /*forced_scenario=*/"");
+  return lcl::bench::cli_main(argc, argv);
 }

@@ -491,13 +491,13 @@ const std::vector<Scenario>& all_scenarios() {
   return registry;
 }
 
-int cli_main(int argc, char** argv, const std::string& forced_scenario) {
+int cli_main(int argc, char** argv) {
   ScenarioOptions opts;
   bool list = false;
   bool list_algos = false;
   bool want_json = false;
   std::string json_path;
-  std::string run_name = forced_scenario;
+  std::string run_name;
   bool compare_mode = false;
   std::string compare_old;
   std::string compare_new;
@@ -569,8 +569,7 @@ int cli_main(int argc, char** argv, const std::string& forced_scenario) {
       list_algos = true;
     } else if (arg == "--run") {
       once("--run");
-      const std::string name = next_value("--run");
-      if (forced_scenario.empty()) run_name = name;
+      run_name = next_value("--run");
     } else if (arg == "--n") {
       once("--n");
       opts.n_scale = parse_double("--n");

@@ -1,6 +1,7 @@
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "algo/bw_generic.hpp"
@@ -35,7 +36,6 @@ std::string join_names(const std::vector<std::string>& names) {
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cache_bytes, opts_.cache_shards),
-      pool_(core::BatchOptions{std::max(1, opts_.threads)}),
       start_(std::chrono::steady_clock::now()) {
   opts_.threads = std::max(1, opts_.threads);
   opts_.max_queue = std::max(1, opts_.max_queue);
@@ -249,30 +249,31 @@ std::string Server::run_solve(const Request& req) {
 
   const std::int64_t max_rounds =
       req.max_rounds > 0 ? req.max_rounds : 8 * req.n + 4096;
-  core::BatchJob job;
-  job.label = req.solver + "@" + req.family;
-  job.scale = static_cast<double>(req.n);
-  job.seed = req.seed;
-  const std::string family_name = req.family;
   const auto n = static_cast<graph::NodeId>(req.n);
-  const int delta = static_cast<int>(req.delta);
-  job.run = [run_spec, config, family_name, n, delta,
-             max_rounds](std::uint64_t seed) {
-    graph::Tree tree =
-        graph::make_family_instance(family_name, n, seed, delta);
-    algo::prepare_instance(tree, run_spec.needs, seed);
+  // The solve runs on the calling thread, reusing its workspace and
+  // build arena. `r` starts unfilled (status `exception`), so a throw
+  // from the factory, the engine or certify only records its reason.
+  core::MeasuredRun r;
+  try {
+    graph::Tree tree;
+    try {
+      tree = graph::make_family_instance(req.family, n, req.seed,
+                                         static_cast<int>(req.delta));
+    } catch (const std::invalid_argument& e) {
+      // The family cannot honour the requested degree bound.
+      throw ProtocolError(ErrorCode::kBadRequest, e.what());
+    }
+    algo::prepare_instance(tree, run_spec.needs, req.seed);
     const algo::SolverRun run =
         algo::run_registered(run_spec, tree, config, max_rounds);
-    return core::measure_run(static_cast<double>(n), run.stats,
-                             run.verdict);
-  };
-
-  std::vector<core::MeasuredRun> results;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    results = pool_.run_all({std::move(job)});
+    r = core::measure_run(static_cast<double>(n), run.stats, run.verdict);
+  } catch (const ProtocolError&) {
+    throw;
+  } catch (const std::exception& e) {
+    r.check_reason = std::string("job threw: ") + e.what();
+  } catch (...) {
+    r.check_reason = "job threw a non-std exception";
   }
-  const core::MeasuredRun& r = results.at(0);
 
   std::string out = envelope_prefix(req.has_id, req.id);
   out += "\"ok\":true,\"type\":\"solve\",\"solver\":\"";

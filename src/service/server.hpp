@@ -1,8 +1,7 @@
 // The lcld request server: admission, execution, memoization.
 //
-// One `Server` owns the `ProblemCache`, a `core::BatchRunner` pool for
-// solve execution, and a bounded admission queue drained by worker
-// threads. Two entry points:
+// One `Server` owns the `ProblemCache` and a bounded admission queue
+// drained by worker threads. Two entry points:
 //
 //   * `handle_line` — synchronous: parse, execute, render. This is the
 //     stdio pipe mode and the deterministic path the tests and the
@@ -18,14 +17,15 @@
 //     disables expiry; `timeout_ms == 0` expires everything — the
 //     deterministic hook the timeout test uses.
 //
-// Execution: `classify` and `info` run inline on the calling/worker
-// thread (a classify is one cache probe after warmup). `solve` builds
-// a `core::BatchJob` — the same composition the bench scenarios use —
-// and executes it through the shared `BatchRunner`, serialized by a
-// mutex (the pool's run_all is batch-oriented); for table-driven
-// solvers the job's program factory closes over the cache entry's
-// canonical table, so a warm solve skips sampling, stripping, and
-// canonicalization entirely.
+// Execution: every request runs to completion on the thread that
+// handles it — the caller of `handle_line`, or the worker that
+// dequeued it. A classify is one cache probe after warmup. A `solve`
+// builds the family instance, prepares its inputs, runs the registered
+// solver and certifies it, exactly as a bench sweep cell does, so
+// `threads` workers run up to `threads` solves at once. For
+// table-driven solvers the program factory closes over the cache
+// entry's canonical table, so a warm solve skips sampling, stripping,
+// and canonicalization entirely.
 //
 // Shutdown is graceful-drain: `drain` stops admission (new submits get
 // `overloaded`) and blocks until the queue is empty and no request is
@@ -45,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
 
@@ -54,7 +53,7 @@ namespace lcl::service {
 struct ServerOptions {
   std::size_t cache_bytes = 64ull << 20;  ///< ProblemCache byte budget
   int cache_shards = 8;
-  int threads = 1;      ///< admission workers == BatchRunner pool size
+  int threads = 1;      ///< admission workers; each runs its own solves
   int max_queue = 256;  ///< admission queue depth (backpressure beyond)
   double timeout_ms = -1.0;  ///< per-request age limit; < 0 = disabled
   /// Test seam: runs on the worker thread after dequeue + expiry check,
@@ -121,8 +120,6 @@ class Server {
 
   ServerOptions opts_;
   ProblemCache cache_;
-  core::BatchRunner pool_;
-  std::mutex pool_mu_;  ///< serializes run_all batches on pool_
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;  ///< workers: work or stop

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -106,11 +107,20 @@ struct Transport::Conn {
 /// Self-pipe shared with the server's completion callbacks. Workers
 /// may outlive one transport's loop (the callback holds a weak_ptr and
 /// upgrades it for the duration of the wake), so the fds are owned
-/// here, closed only when the last reference drops.
+/// here, closed only when the last reference drops; they never change
+/// in between, so no lock guards them.
+///
+/// `pending` coalesces wakes: only the completion that flips it from
+/// false to true writes a byte, so the pipe holds at most one byte and
+/// every completion before the loop's next `drain` shares that wakeup.
+/// `drain` reads the pipe before clearing the flag, and the loop pumps
+/// every connection after `drain`: a wake that saw the flag still set
+/// belongs to a completion that landed before the clear, which that
+/// pass sees; any later wake writes a fresh byte.
 struct Transport::Waker {
   int read_fd = -1;
   int write_fd = -1;
-  std::mutex mu;
+  std::atomic<bool> pending{false};
 
   Waker() {
     int fds[2] = {-1, -1};
@@ -127,16 +137,16 @@ struct Transport::Waker {
   }
 
   void wake() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (write_fd < 0) return;
+    if (write_fd < 0 || pending.exchange(true, std::memory_order_acq_rel)) {
+      return;
+    }
     const char byte = 1;
-    // A full pipe already has a wake pending; EAGAIN is success.
     (void)!::write(write_fd, &byte, 1);
   }
   void drain() {
-    char sink[256];
-    while (::read(read_fd, sink, sizeof(sink)) > 0) {
-    }
+    char sink[16];
+    (void)!::read(read_fd, sink, sizeof(sink));
+    (void)pending.exchange(false, std::memory_order_acq_rel);
   }
 };
 

@@ -24,8 +24,7 @@ void expect_cli_failure(const std::vector<std::string>& args,
   argv.reserve(storage.size());
   for (std::string& s : storage) argv.push_back(s.data());
   EXPECT_EXIT(
-      std::exit(bench::cli_main(static_cast<int>(argv.size()), argv.data(),
-                                /*forced_scenario=*/"")),
+      std::exit(bench::cli_main(static_cast<int>(argv.size()), argv.data())),
       ::testing::ExitedWithCode(2), message_regex);
 }
 

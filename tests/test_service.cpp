@@ -4,7 +4,8 @@
 // cache-hit determinism contract — identical requests produce
 // byte-identical responses regardless of thread interleaving (the
 // response carries no per-request state beyond the echoed id, and warm
-// hits replay the cold response's stored bytes).
+// hits replay the cold response's stored bytes) — and solves that run
+// concurrently on the admission workers reply as a sequential server does.
 // The transport suite at the bottom drives the poll-based connection
 // supervisor (service/transport.*) over real loopback TCP and Unix
 // sockets: pipelined ordering, per-connection flow control (write-
@@ -209,6 +210,23 @@ TEST(ServiceProtocol, UndeclaredSolverOptionIsBadRequest) {
   EXPECT_EQ(v.get_string("error", ""), "bad_request");
 }
 
+TEST(ServiceProtocol, UnsatisfiableFamilyDeltaIsBadRequest) {
+  // The family registry rejects a degree bound its builder cannot
+  // honour; the request is at fault, so the reply is a typed error,
+  // not a solve whose status is "exception".
+  Server server(ServerOptions{});
+  EXPECT_EQ(server.handle_line(
+                "{\"type\":\"solve\",\"id\":7,\"solver\":\"rake_compress\","
+                "\"family\":\"path\",\"delta\":3,\"n\":64}"),
+            "{\"id\":7,\"ok\":false,\"error\":\"bad_request\","
+            "\"detail\":\"path: family has no degree parameter\"}");
+  EXPECT_EQ(parse(server.handle_line(
+                      "{\"type\":\"solve\",\"solver\":\"rake_compress\","
+                      "\"family\":\"caterpillar\",\"delta\":2,\"n\":64}"))
+                .get_string("error", ""),
+            "bad_request");
+}
+
 TEST(ServiceProtocol, IdIsEchoedWhenPresentAndOmittedWhenNot) {
   Server server(ServerOptions{});
   const std::string with_id =
@@ -272,6 +290,21 @@ TEST(ServiceRoundTrip, SolveRunsAndCertifies) {
   const std::uint64_t hits_before = server.cache().stats().hits;
   (void)server.handle_line(classify_line(0));
   EXPECT_EQ(server.cache().stats().hits, hits_before + 1);
+}
+
+TEST(ServiceRoundTrip, SolveThatThrowsReportsExceptionStatus) {
+  // weight_aug's factory rejects gamma == 1, past option validation:
+  // the throw becomes a solve reply with status "exception".
+  Server server(ServerOptions{});
+  EXPECT_EQ(
+      server.handle_line(
+          "{\"type\":\"solve\",\"id\":4,\"solver\":\"weight_aug\","
+          "\"family\":\"path\",\"n\":64,\"options\":{\"gamma\":1}}"),
+      "{\"id\":4,\"ok\":true,\"type\":\"solve\",\"solver\":\"weight_aug\","
+      "\"family\":\"path\",\"n\":0,\"status\":\"exception\","
+      "\"certified\":false,\"check_reason\":\"job threw: weight_aug: gamma "
+      "must be 0 (auto) or >= 2, got 1\",\"node_averaged\":0,"
+      "\"worst_case\":0,\"term_p50\":0,\"term_p90\":0,\"term_p99\":0}");
 }
 
 TEST(ServiceRoundTrip, InfoReportsCounters) {
@@ -352,7 +385,8 @@ TEST(ServiceQueue, DrainStopsAdmissionAndFinishesQueuedWork) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: cache-hit determinism under interleaving.
+// Concurrency: cache hits and concurrent solves are deterministic under
+// interleaving.
 // ---------------------------------------------------------------------------
 
 TEST(ServiceHammer, IdenticalRequestsGetByteIdenticalResponses) {
@@ -410,6 +444,83 @@ TEST(ServiceHammer, IdenticalRequestsGetByteIdenticalResponses) {
   EXPECT_EQ(s.hits + s.misses,
             static_cast<std::uint64_t>(kClients * kPerClient));
   EXPECT_EQ(s.entries, seeds.size());
+}
+
+TEST(ServiceHammer, ConcurrentSolvesMatchSequentialReplies) {
+  ServerOptions opts;
+  opts.threads = 4;
+  opts.max_queue = 4096;
+  Server server(opts);
+
+  // Each worker runs its own solves, so up to four run at once. Every
+  // reply must equal the one a fresh single-threaded server gives for
+  // the same line: bw_generic through the problem cache, five registry
+  // solvers, a max_rounds truncation, and a factory that throws.
+  const std::vector<std::string> lines = {
+      "{\"type\":\"solve\",\"id\":1,\"problem_seed\":42,"
+      "\"solver\":\"bw_generic\",\"family\":\"path\",\"n\":2000}",
+      "{\"type\":\"solve\",\"id\":2,\"solver\":\"rake_compress\","
+      "\"family\":\"random_attach\",\"n\":2000,\"seed\":5}",
+      "{\"type\":\"solve\",\"id\":3,\"solver\":\"level_peeling\","
+      "\"family\":\"prufer\",\"n\":2000,\"seed\":6}",
+      "{\"type\":\"solve\",\"id\":4,\"solver\":\"random_coloring\","
+      "\"family\":\"caterpillar\",\"n\":2000,\"seed\":7}",
+      "{\"type\":\"solve\",\"id\":5,\"solver\":\"generic_hier_25\","
+      "\"family\":\"path\",\"n\":2000,\"seed\":8}",
+      "{\"type\":\"solve\",\"id\":6,\"solver\":\"weight_aug\","
+      "\"family\":\"random_attach\",\"n\":2000,\"seed\":9}",
+      "{\"type\":\"solve\",\"id\":7,\"solver\":\"rake_compress\","
+      "\"family\":\"path\",\"n\":2000,\"max_rounds\":3}",
+      "{\"type\":\"solve\",\"id\":8,\"solver\":\"weight_aug\","
+      "\"family\":\"path\",\"n\":2000,\"options\":{\"gamma\":1}}",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& line : lines) {
+    ServerOptions sequential;
+    sequential.threads = 1;
+    Server fresh(sequential);
+    expected.push_back(fresh.handle_line(line));
+  }
+  ASSERT_NE(expected[6].find("\"status\":\"truncated\""), std::string::npos)
+      << expected[6];
+  ASSERT_NE(expected[7].find("\"status\":\"exception\""), std::string::npos)
+      << expected[7];
+
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 12;
+  std::vector<std::vector<std::string>> responses(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto& mine = responses[static_cast<std::size_t>(c)];
+      // Submit half the lines up front so the workers hold several
+      // solves at once, then mix in synchronous calls.
+      std::vector<std::future<std::string>> inflight;
+      for (int i = 0; i < kPerClient; ++i) {
+        const std::string& line =
+            lines[static_cast<std::size_t>(c + i) % lines.size()];
+        if (i % 2 == 0) {
+          inflight.push_back(server.submit(line));
+        } else {
+          mine.push_back(server.handle_line(line));
+        }
+      }
+      for (auto& f : inflight) mine.push_back(f.get());
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    std::vector<std::string> want;
+    for (int i = 1; i < kPerClient; i += 2) {
+      want.push_back(expected[static_cast<std::size_t>(c + i) % lines.size()]);
+    }
+    for (int i = 0; i < kPerClient; i += 2) {
+      want.push_back(expected[static_cast<std::size_t>(c + i) % lines.size()]);
+    }
+    ASSERT_EQ(responses[static_cast<std::size_t>(c)], want) << "client " << c;
+  }
 }
 
 // ---------------------------------------------------------------------------

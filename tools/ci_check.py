@@ -17,7 +17,9 @@ and identical across workflows):
 ephemeral TCP port, sends the whole pinned script as one pipelined burst
 (exercising the transport supervisor's in-flight window and ordered
 write backlog), validates the responses with the same assertions as
-`service`, then SIGTERMs the daemon and requires a clean drain (exit 0).
+`service` except the in-burst cache hit, asserts that hit with one more
+`info` after the burst, then SIGTERMs the daemon and requires a clean
+drain (exit 0).
 
 Exit status: 0 when every assertion holds, 1 with a message otherwise.
 Run locally with e.g.:
@@ -87,12 +89,16 @@ def check_all(d):
     print(f"{len(d['scenarios'])} scenarios, all runs valid")
 
 
-def check_service(lines):
+def check_service(lines, in_order=True):
     """lcld --stdio replay of tests/golden/service_smoke.jsonl: one
     response line per request line, in order. The script sends the same
     classify twice (the second must be served from cache byte-identically),
     an info probe (which must see that hit), a solve that must certify,
-    and two malformed lines that must map to their typed errors."""
+    and two malformed lines that must map to their typed errors.
+
+    `in_order=False` drops the info probe's hit assertion: a pipelined
+    burst may run both classifies at once on two workers, and racing
+    duplicates both miss (DESIGN.md, "Admission and backpressure")."""
     rs = [json.loads(line) for line in lines]
     assert len(rs) == 6, f"expected 6 response lines, got {len(rs)}"
     assert lines[0] == lines[1], \
@@ -103,7 +109,8 @@ def check_service(lines):
     assert classify["predicted"], classify
     info = rs[2]
     assert info["ok"] and info["type"] == "info", info
-    assert info["cache_hits"] >= 1, info
+    if in_order:
+        assert info["cache_hits"] >= 1, info
     assert info["cache_entries"] >= 1, info
     solve = rs[3]
     assert solve["ok"] and solve["type"] == "solve", solve
@@ -116,11 +123,24 @@ def check_service(lines):
     print(f"6/6 service responses ok, cache_hits={int(info['cache_hits'])}")
 
 
+def _read_lines(conn, buf, count):
+    while buf.count(b"\n") < count:
+        chunk = conn.recv(1 << 16)
+        assert chunk, "daemon closed the connection mid-replay"
+        buf += chunk
+    return buf
+
+
 def check_service_tcp(lcld_path, script_path):
     """End-to-end TCP replay: launch lcld on an ephemeral port, send the
     pinned script as ONE pipelined burst over a single connection (the
     responses must still come back in request order), validate with the
-    same assertions as the stdio replay, then SIGTERM-drain."""
+    same assertions as the stdio replay, then SIGTERM-drain.
+
+    The cache hit is asserted by one more info sent after all six
+    replies arrived: by then the bw_generic solve has run, and it can
+    only start after one of the classifies inserted the entry, so the
+    solve's lookup is a hit however the burst interleaved."""
     proc = subprocess.Popen(
         [lcld_path, "--tcp", "127.0.0.1:0", "--threads", "2"],
         stderr=subprocess.PIPE, text=True)
@@ -134,13 +154,14 @@ def check_service_tcp(lcld_path, script_path):
         conn = socket.create_connection(("127.0.0.1", port), timeout=30)
         conn.settimeout(30)
         conn.sendall(b"".join(r + b"\n" for r in requests))
-        buf = b""
-        while buf.count(b"\n") < len(requests):
-            chunk = conn.recv(1 << 16)
-            assert chunk, "daemon closed the connection mid-replay"
-            buf += chunk
+        buf = _read_lines(conn, b"", len(requests))
+        check_service([l.decode() for l in buf.splitlines()], in_order=False)
+        conn.sendall(b'{"type":"info","id":5}\n')
+        info = json.loads(_read_lines(conn, buf, len(requests) + 1)
+                          .splitlines()[len(requests)])
         conn.close()
-        check_service([l.decode() for l in buf.splitlines()])
+        assert info["ok"] and info["id"] == 5, info
+        assert info["cache_hits"] >= 1, info
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0, \
             f"lcld did not drain cleanly: exit {proc.returncode}"

@@ -46,7 +46,8 @@ int usage(const char* argv0) {
          " (default 32)\n"
       << "  --cache-mb N      problem-cache byte budget in MiB"
          " (default 64)\n"
-      << "  --threads N       worker threads (default 1)\n"
+      << "  --threads N       workers; each runs its requests, solves"
+         " included (default 1)\n"
       << "  --max-queue N     admission queue depth (default 256)\n"
       << "  --timeout-ms X    per-request queue-age limit;"
          " < 0 disables (default)\n";

@@ -44,7 +44,6 @@ void run_cor60_gap(ScenarioContext& ctx) {
   for (const std::int64_t base : {2000, 5657, 16000, 45255}) {
     const auto n = static_cast<graph::NodeId>(ctx.scaled(base));
     core::BatchJob job;
-    job.label = "2col-n" + std::to_string(n);
     job.scale = static_cast<double>(n);
     job.seed = static_cast<std::uint64_t>(n);
     job.run = [n](std::uint64_t seed) {

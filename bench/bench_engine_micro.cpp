@@ -502,7 +502,6 @@ void run_engine_micro(ScenarioContext& ctx) {
   const auto batch_n = static_cast<graph::NodeId>(ctx.scaled(2048));
   for (int i = 0; i < job_count; ++i) {
     core::BatchJob job;
-    job.label = "wave-" + std::to_string(i);
     job.scale = static_cast<double>(batch_n);
     job.seed = static_cast<std::uint64_t>(i);
     job.run = [batch_n](std::uint64_t) {

@@ -62,10 +62,9 @@ void run_family_sweep(ScenarioContext& ctx) {
           (2 * kGamma + kEll + 3) *
           (4 * std::bit_width(static_cast<std::uint64_t>(n)) + 16);
       jobs.push_back(core::make_solver_job(
-          family + "-" + std::to_string(n), static_cast<double>(n),
+          static_cast<double>(n),
           /*seed=*/family_seed + static_cast<std::uint64_t>(n),
-          "rake_compress", decomp_cfg, family, n, /*delta=*/0,
-          max_rounds));
+          "rake_compress", decomp_cfg, family, n, /*delta=*/0, max_rounds));
     }
     auto runs = ctx.run_sweep(std::move(jobs));
     bool all_valid = true;

@@ -47,7 +47,6 @@ void run_lemma69_weightaug(ScenarioContext& ctx) {
     for (const std::int64_t base : {8000, 32000, 128000, 512000}) {
       const std::int64_t n = ctx.scaled(base);
       core::BatchJob job;
-      job.label = "waug-n" + std::to_string(n);
       job.scale = static_cast<double>(n);
       job.seed = static_cast<std::uint64_t>(n + k);
       job.run = [k, n](std::uint64_t seed) { return run_one(k, n, seed); };

@@ -153,8 +153,6 @@ void run_problem_sweep(ScenarioContext& ctx) {
           const std::int64_t max_rounds =
               8 * static_cast<std::int64_t>(n) + 4096;
           jobs.push_back(core::make_solver_job(
-              "p" + std::to_string(table.seed) + "@" + family + "-n" +
-                  std::to_string(n),
               static_cast<double>(n), job_seed, "bw_generic", config,
               family, n, family_delta(family), max_rounds));
         }

@@ -69,9 +69,9 @@ void run_solver_matrix(ScenarioContext& ctx) {
         const std::int64_t max_rounds = 8 * static_cast<std::int64_t>(n) +
                                         4096;
         jobs.push_back(core::make_solver_job(
-            algo_name + "@" + family + "-n" + std::to_string(n),
-            static_cast<double>(n), cell_seed + static_cast<std::uint64_t>(n),
-            algo_name, base, family, n, /*delta=*/0, max_rounds));
+            static_cast<double>(n),
+            cell_seed + static_cast<std::uint64_t>(n), algo_name, base,
+            family, n, /*delta=*/0, max_rounds));
       }
       auto runs = ctx.run_sweep(std::move(jobs));
 

@@ -74,7 +74,6 @@ void run_thm11_hier35(ScenarioContext& ctx) {
     std::vector<core::BatchJob> jobs;
     for (const std::int64_t lambda : {64, 192, 576, 1728, 5184}) {
       core::BatchJob job;
-      job.label = "hier35-L" + std::to_string(lambda);
       job.scale = static_cast<double>(lambda);
       job.seed = static_cast<std::uint64_t>(11 * k + lambda);
       job.run = [k, lambda, target_n](std::uint64_t seed) {
@@ -97,7 +96,6 @@ void run_thm11_hier35(ScenarioContext& ctx) {
     for (const std::int64_t base : {20000, 60000, 180000, 540000}) {
       const std::int64_t n = ctx.scaled(base);
       core::BatchJob job;
-      job.label = "hier25-n" + std::to_string(n);
       job.scale = static_cast<double>(n);
       job.seed = static_cast<std::uint64_t>(5 * k + n);
       job.run = [k, n](std::uint64_t seed) { return run_25(k, n, seed); };

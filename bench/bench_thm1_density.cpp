@@ -45,7 +45,6 @@ void spot_check(lcl::bench::ScenarioContext& ctx,
   for (const std::int64_t base : {20000, 80000, 320000}) {
     const std::int64_t n = ctx.scaled(base);
     core::BatchJob job;
-    job.label = "density-n" + std::to_string(n);
     job.scale = static_cast<double>(n);
     job.seed = static_cast<std::uint64_t>(n);
     job.run = [choice, n](std::uint64_t seed) {

@@ -69,7 +69,6 @@ void run_thm2_pi25(ScenarioContext& ctx) {
     for (const std::int64_t base : sizes) {
       const std::int64_t n = ctx.scaled(base);
       core::BatchJob job;
-      job.label = "pi25-n" + std::to_string(n);
       job.scale = static_cast<double>(n);
       job.seed = static_cast<std::uint64_t>(n + c.delta);
       job.run = [c, n](std::uint64_t seed) {

@@ -62,7 +62,6 @@ void run_thm4_pi35(ScenarioContext& ctx) {
     std::vector<core::BatchJob> jobs;
     for (const std::int64_t lambda : {64, 192, 576, 1728, 5184}) {
       core::BatchJob job;
-      job.label = "pi35-L" + std::to_string(lambda);
       job.scale = static_cast<double>(lambda);
       job.seed = static_cast<std::uint64_t>(lambda + c.d);
       job.run = [c, lambda, target_n](std::uint64_t seed) {

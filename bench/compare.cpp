@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -36,6 +37,26 @@ bool run_ok(const Value& run) {
   const Value* status = run.find("status");
   if (status != nullptr) return status->string_or("") == "ok";
   return run.get_bool("valid", false);
+}
+
+/// The run of `runs` (a series' "runs" array) that pairs with
+/// `other[i]`: the one at the same scale and of the same rank among the
+/// runs at that scale. A series may hold several runs at one scale
+/// (problem_sweep has one per family), so matching by scale alone pairs
+/// different families. nullptr if there is none.
+const Value* paired_run(const Value& runs, const Value& other,
+                        std::size_t i) {
+  const double scale = other.array[i].get_number("scale", -1.0);
+  auto at_scale = [scale](const Value& run) {
+    return run.get_number("scale", -2.0) == scale;
+  };
+  const auto first = other.array.begin();
+  auto rank = std::count_if(
+      first, first + static_cast<std::ptrdiff_t>(i), at_scale);
+  for (const Value& run : runs.array) {
+    if (at_scale(run) && rank-- == 0) return &run;
+  }
+  return nullptr;
 }
 
 struct Tally {
@@ -130,27 +151,24 @@ void compare_series(const std::string& where, const Value& old_series,
     const Value* new_runs = new_series.find("runs");
     if (old_runs != nullptr && old_runs->is_array() &&
         new_runs != nullptr && new_runs->is_array()) {
-      for (const Value& old_run : old_runs->array) {
-        if (!run_ok(old_run)) continue;
-        const double scale = old_run.get_number("scale", -1.0);
-        for (const Value& new_run : new_runs->array) {
-          if (new_run.get_number("scale", -2.0) != scale ||
-              !run_ok(new_run)) {
-            continue;
-          }
-          const double old_avg = old_run.get_number("node_averaged", 0.0);
-          const double new_avg = new_run.get_number("node_averaged", 0.0);
-          if (old_avg > 0.0 &&
-              std::abs(new_avg / old_avg - 1.0) > opts.tol_avg) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "node-averaged at scale %.0f drifted %.1f%% "
-                          "(%.3f -> %.3f)",
-                          scale, 100.0 * (new_avg / old_avg - 1.0),
-                          old_avg, new_avg);
-            tally.regression(where + ": " + buf);
-          }
-          break;
+      for (std::size_t i = 0; i < old_runs->array.size(); ++i) {
+        const Value& old_run = old_runs->array[i];
+        const Value* new_run = paired_run(*new_runs, *old_runs, i);
+        if (!run_ok(old_run) || new_run == nullptr || !run_ok(*new_run)) {
+          continue;
+        }
+        const double old_avg = old_run.get_number("node_averaged", 0.0);
+        const double new_avg = new_run->get_number("node_averaged", 0.0);
+        if (old_avg > 0.0 &&
+            std::abs(new_avg / old_avg - 1.0) > opts.tol_avg) {
+          char buf[160];
+          std::snprintf(buf, sizeof(buf),
+                        "node-averaged at scale %.0f drifted %.1f%% "
+                        "(%.3f -> %.3f)",
+                        old_run.get_number("scale", -1.0),
+                        100.0 * (new_avg / old_avg - 1.0), old_avg,
+                        new_avg);
+          tally.regression(where + ": " + buf);
         }
       }
     }
@@ -500,7 +518,8 @@ int history_snapshots(const std::vector<std::string>& paths,
       if (opts.tol_avg > 0.0) {
         const Value* last_runs = last_series->find("runs");
         if (last_runs != nullptr && last_runs->is_array()) {
-          for (const Value& anchor : last_runs->array) {
+          for (std::size_t a = 0; a < last_runs->array.size(); ++a) {
+            const Value& anchor = last_runs->array[a];
             if (!run_ok(anchor)) continue;
             const double scale = anchor.get_number("scale", -1.0);
             std::vector<double> avgs;
@@ -513,13 +532,10 @@ int history_snapshots(const std::vector<std::string>& paths,
                                                 : se->find("runs");
               complete = false;
               if (runs == nullptr || !runs->is_array()) break;
-              for (const Value& run : runs->array) {
-                if (run.get_number("scale", -2.0) == scale &&
-                    run_ok(run)) {
-                  avgs.push_back(run.get_number("node_averaged", 0.0));
-                  complete = true;
-                  break;
-                }
+              const Value* run = paired_run(*runs, *last_runs, a);
+              if (run != nullptr && run_ok(*run)) {
+                avgs.push_back(run->get_number("node_averaged", 0.0));
+                complete = true;
               }
             }
             if (complete && avgs.front() > 0.0 && is_monotone(avgs) &&

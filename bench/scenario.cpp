@@ -1,15 +1,18 @@
 #include "scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "algo/registry.hpp"
 #include "compare.hpp"
@@ -526,40 +529,28 @@ int cli_main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto parse_uint64 = [&](const char* flag) -> std::uint64_t {
+    // Parses the whole value as a T in [lo, hi] (NaN never is); anything
+    // else exits 2 with a one-line message saying what was expected.
+    auto parse = [&]<class T>(const char* flag, const char* expected, T lo,
+                              T hi) -> T {
       const std::string value = next_value(flag);
-      try {
-        // stoull would silently wrap a negative value to 2^64 - |v|.
-        if (value.empty() || value[0] == '-') {
-          throw std::invalid_argument(value);
-        }
-        std::size_t used = 0;
-        const std::uint64_t parsed = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-      } catch (const std::exception&) {
-        std::fprintf(stderr,
-                     "lclbench: %s expects an unsigned integer, got "
-                     "'%s'\n",
-                     flag, value.c_str());
+      T parsed{};
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+      if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
+        std::fprintf(stderr, "lclbench: %s expects %s, got '%s'\n", flag,
+                     expected, value.c_str());
         std::exit(2);
       }
+      return parsed;
     };
-    auto parse_double = [&](const char* flag) {
-      const std::string value = next_value(flag);
-      try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "lclbench: %s expects a number, got '%s'\n",
-                     flag, value.c_str());
-        std::exit(2);
-      }
+    auto parse_uint64 = [&](const char* flag) {
+      return parse(flag, "an unsigned integer", std::uint64_t{0},
+                   std::numeric_limits<std::uint64_t>::max());
     };
-    auto parse_int = [&](const char* flag) {
-      return static_cast<int>(parse_double(flag));
+    auto parse_tolerance = [&](const char* flag) {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      return parse(flag, "a number", -kInf, kInf);
     };
     if (arg == "--list") {
       once("--list");
@@ -572,13 +563,16 @@ int cli_main(int argc, char** argv) {
       run_name = next_value("--run");
     } else if (arg == "--n") {
       once("--n");
-      opts.n_scale = parse_double("--n");
+      // Sizes are llround(base * scale): a NaN, infinite, non-positive
+      // or huge scale would silently run every point at the floor size.
+      opts.n_scale = parse("--n", "a scale in (0, 1000]",
+                           std::nextafter(0.0, 1.0), 1000.0);
     } else if (arg == "--reps") {
       once("--reps");
-      opts.reps = parse_int("--reps");
+      opts.reps = parse("--reps", "an integer in [1, 1000000]", 1, 1000000);
     } else if (arg == "--threads") {
       once("--threads");
-      opts.threads = parse_int("--threads");
+      opts.threads = parse("--threads", "an integer in [0, 1024]", 0, 1024);
     } else if (arg == "--seed") {
       once("--seed");
       opts.seed = parse_uint64("--seed");
@@ -608,12 +602,8 @@ int cli_main(int argc, char** argv) {
       opts.dispatch = value;
     } else if (arg == "--problems") {
       once("--problems");
-      opts.problems = parse_int("--problems");
-      if (opts.problems <= 0) {
-        std::fprintf(stderr,
-                     "lclbench: --problems expects a positive count\n");
-        std::exit(2);
-      }
+      opts.problems = parse("--problems", "a positive count", 1,
+                            std::numeric_limits<int>::max());
     } else if (arg == "--problem-seed") {
       once("--problem-seed");
       opts.problem_seed = parse_uint64("--problem-seed");
@@ -663,12 +653,8 @@ int cli_main(int argc, char** argv) {
       }
     } else if (arg == "--trend-window") {
       once("--trend-window");
-      history_opts.window = parse_int("--trend-window");
-      if (history_opts.window < 2) {
-        std::fprintf(stderr,
-                     "lclbench: --trend-window expects a window >= 2\n");
-        std::exit(2);
-      }
+      history_opts.window = parse("--trend-window", "a window >= 2", 2,
+                                  std::numeric_limits<int>::max());
     } else if (arg == "--compare") {
       once("--compare");
       compare_mode = true;
@@ -681,15 +667,15 @@ int cli_main(int argc, char** argv) {
       compare_new = argv[++i];
     } else if (arg == "--tol-exponent") {
       once("--tol-exponent");
-      compare_opts.tol_exponent = parse_double("--tol-exponent");
+      compare_opts.tol_exponent = parse_tolerance("--tol-exponent");
       history_opts.tol_exponent = compare_opts.tol_exponent;
     } else if (arg == "--tol-avg") {
       once("--tol-avg");
-      compare_opts.tol_avg = parse_double("--tol-avg");
+      compare_opts.tol_avg = parse_tolerance("--tol-avg");
       history_opts.tol_avg = compare_opts.tol_avg;
     } else if (arg == "--tol-wall") {
       once("--tol-wall");
-      compare_opts.tol_wall = parse_double("--tol-wall");
+      compare_opts.tol_wall = parse_tolerance("--tol-wall");
       history_opts.tol_wall = compare_opts.tol_wall;
     } else if (arg == "--allow-missing") {
       once("--allow-missing");

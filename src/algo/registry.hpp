@@ -23,8 +23,9 @@
 //     with clear out-of-range errors instead of silent clamping.
 //   * `prepare_instance` — applies a spec's declared input needs to a
 //     freshly built instance, so any solver runs on any compatible
-//     family through one code path (`core::make_solver_job` composes
-//     this with `core::make_family_job`'s instance construction).
+//     family through one code path (`core::run_solver_cell` composes
+//     the family build, this, and `run_registered` into one certified
+//     measurement).
 //
 // The `solver_matrix` bench scenario sweeps the full compatible
 // algorithm × family cross-product through exactly this surface.
@@ -201,14 +202,12 @@ struct SolverRun {
 /// One uniform run: validates `config`, builds the program through the
 /// spec's factory, executes it on a fresh engine, and certifies the
 /// outputs with the spec's checker binding. A truncated run is measured
-/// but not certified (partial outputs are not checkable), mirroring
-/// `core::make_job`. The instance must already be prepared (or be a
-/// paper construction that carries its own inputs). `dispatch` selects
-/// the Program↔Engine stepping contract (per-node hooks vs span-level
-/// batch kernels); results are bit-identical either way.
+/// but not certified (partial outputs are not checkable). The instance
+/// must already be prepared (or be a paper construction that carries
+/// its own inputs); `core::run_solver_cell` is the family-built,
+/// measured form every sweep cell and lcld solve runs.
 [[nodiscard]] SolverRun run_registered(
     const SolverSpec& spec, const graph::Tree& tree, SolverConfig config,
-    std::int64_t max_rounds = std::numeric_limits<int>::max(),
-    local::DispatchMode dispatch = local::DispatchMode::kAuto);
+    std::int64_t max_rounds = std::numeric_limits<int>::max());
 
 }  // namespace lcl::algo

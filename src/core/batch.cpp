@@ -3,144 +3,82 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
 #include "graph/families.hpp"
 
 namespace lcl::core {
 
-BatchJob make_job(std::string label, double scale, std::uint64_t seed,
-                  InstanceBuilder build, ProgramFactory make_program,
-                  RunChecker check, std::int64_t max_rounds) {
-  BatchJob job;
-  job.label = std::move(label);
-  job.scale = scale;
-  job.seed = seed;
-  job.run = [scale, build = std::move(build),
-             make_program = std::move(make_program),
-             check = std::move(check), max_rounds](std::uint64_t s) {
-    // Instance construction gets its own failure class: a bad generator
-    // parameterization is a different bug than a solver crash, and the
-    // structured status keeps them apart in every snapshot.
-    const auto build_start = std::chrono::steady_clock::now();
-    graph::Tree tree;
-    try {
-      tree = build(s);
-    } catch (const std::exception& e) {
-      MeasuredRun r;
-      r.scale = scale;
-      r.status = RunStatus::kBuildFailed;
-      r.check_reason = std::string("instance build threw: ") + e.what();
-      return r;
-    }
-    const double build_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - build_start)
-            .count();
-    const std::unique_ptr<local::Program> program = make_program(tree);
-    // One reusable workspace per worker thread: every job after a
-    // thread's first runs the engine allocation-free.
-    local::Engine engine(tree);
-    const local::RunStats stats =
-        engine.run(*program, local::tls_workspace(), max_rounds);
-    // A truncated run is measured, not checked: measure_run marks it
-    // kTruncated and records the censored partial stats.
-    const problems::CheckResult verdict =
-        stats.truncated ? problems::CheckResult::pass() : check(tree, stats);
-    MeasuredRun r = measure_run(scale, stats, verdict);
-    r.build_ms = build_ms;
+graph::Tree probe_family(const std::string& family, int delta) {
+  return graph::make_family_instance(family, /*n=*/8, /*seed=*/0, delta);
+}
+
+MeasuredRun run_solver_cell(const algo::SolverSpec& spec,
+                            algo::SolverConfig config,
+                            const std::string& family, graph::NodeId n,
+                            int delta, std::uint64_t seed, double scale,
+                            std::int64_t max_rounds) {
+  // Instance construction gets its own failure class: a bad generator
+  // parameterization is a different bug than a solver crash, and the
+  // structured status keeps them apart in every snapshot.
+  const auto build_start = std::chrono::steady_clock::now();
+  graph::Tree tree;
+  try {
+    tree = graph::make_family_instance(family, n, seed, delta);
+    algo::prepare_instance(tree, spec.needs, seed);
+  } catch (const std::exception& e) {
+    MeasuredRun r;
+    r.scale = scale;
+    r.status = RunStatus::kBuildFailed;
+    r.check_reason = std::string("instance build threw: ") + e.what();
     return r;
-  };
-  return job;
-}
-
-BatchJob make_family_job(std::string label, double scale,
-                         std::uint64_t seed, std::string family,
-                         graph::NodeId n, int delta,
-                         ProgramFactory make_program, RunChecker check,
-                         std::int64_t max_rounds) {
-  // Validate the configuration eagerly so misconfigured sweeps fail at
-  // construction, not on a worker thread mid-batch: the name must
-  // resolve, and a tiny dry build exercises the family's own parameter
-  // checks (unsatisfiable delta etc.) through the real code path.
-  if (graph::find_family(family) == nullptr) {
-    throw std::invalid_argument("make_family_job: unknown family '" +
-                                family + "'");
   }
-  (void)graph::make_family_instance(family, /*n=*/8, /*seed=*/0, delta);
-  InstanceBuilder build = [family = std::move(family), n,
-                           delta](std::uint64_t s) {
-    return graph::make_family_instance(family, n, s, delta);
-  };
-  return make_job(std::move(label), scale, seed, std::move(build),
-                  std::move(make_program), std::move(check), max_rounds);
+  const double build_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - build_start)
+          .count();
+  config.seed = seed;
+  const algo::SolverRun run =
+      algo::run_registered(spec, tree, std::move(config), max_rounds);
+  MeasuredRun r = measure_run(scale, run.stats, run.verdict);
+  r.build_ms = build_ms;
+  return r;
 }
 
-BatchJob make_solver_job(std::string label, double scale,
-                         std::uint64_t seed, std::string solver,
-                         algo::SolverConfig config, std::string family,
-                         graph::NodeId n, int delta,
+MeasuredRun threw_run(double scale, const char* what) {
+  MeasuredRun r;
+  r.scale = scale;
+  r.status = RunStatus::kException;
+  r.check_reason = what != nullptr ? std::string("job threw: ") + what
+                                   : "job threw a non-std exception";
+  return r;
+}
+
+BatchJob make_solver_job(double scale, std::uint64_t seed,
+                         std::string solver, algo::SolverConfig config,
+                         std::string family, graph::NodeId n, int delta,
                          std::int64_t max_rounds) {
-  // Resolve and validate both registry axes eagerly: an unknown solver,
-  // an out-of-range option, or an unknown/unsatisfiable family throws
-  // here, at sweep construction, not on a worker thread mid-batch.
+  // Dry-run the whole cell on the probe instance: the family's own
+  // parameter checks (unknown name, unsatisfiable delta, ...) AND the
+  // solver factory's relational option checks (|gammas| != k-1,
+  // gamma == 1, ...) all fire here, at sweep construction — not as a
+  // kException on every worker-thread run.
   const algo::SolverSpec& spec = algo::solver(solver);
   config.validate(spec);
-  if (graph::find_family(family) == nullptr) {
-    throw std::invalid_argument("make_solver_job: unknown family '" +
-                                family + "'");
-  }
-  {
-    // Dry-build the whole cell on a tiny instance: the family's own
-    // parameter checks (unsatisfiable delta etc.) AND the solver
-    // factory's relational option checks (|gammas| != k-1, gamma == 1,
-    // ...) both fire here, at sweep construction — not as a
-    // kException on every worker-thread run.
-    graph::Tree probe =
-        graph::make_family_instance(family, /*n=*/8, /*seed=*/0, delta);
-    algo::prepare_instance(probe, spec.needs, /*seed=*/0);
-    algo::SolverConfig probe_config = config;
-    probe_config.seed = 0;
-    (void)spec.factory(probe, probe_config);
-  }
+  graph::Tree probe = probe_family(family, delta);
+  algo::prepare_instance(probe, spec.needs, /*seed=*/0);
+  algo::SolverConfig probe_config = config;
+  probe_config.seed = 0;
+  (void)spec.factory(probe, probe_config);
 
   BatchJob job;
-  job.label = std::move(label);
   job.scale = scale;
   job.seed = seed;
   job.run = [scale, &spec, config = std::move(config),
              family = std::move(family), n, delta,
              max_rounds](std::uint64_t s) {
-    const auto build_start = std::chrono::steady_clock::now();
-    graph::Tree tree;
-    try {
-      tree = graph::make_family_instance(family, n, s, delta);
-      algo::prepare_instance(tree, spec.needs, s);
-    } catch (const std::exception& e) {
-      MeasuredRun r;
-      r.scale = scale;
-      r.status = RunStatus::kBuildFailed;
-      r.check_reason = std::string("instance build threw: ") + e.what();
-      return r;
-    }
-    const double build_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - build_start)
-            .count();
-    algo::SolverConfig run_config = config;
-    run_config.seed = s;
-    const std::unique_ptr<local::Program> program =
-        spec.factory(tree, run_config);
-    local::Engine engine(tree);
-    const local::RunStats stats =
-        engine.run(*program, local::tls_workspace(), max_rounds);
-    const problems::CheckResult verdict =
-        stats.truncated ? problems::CheckResult::pass()
-                        : spec.certify(tree, *program, stats, run_config);
-    MeasuredRun r = measure_run(scale, stats, verdict);
-    r.build_ms = build_ms;
-    return r;
+    return run_solver_cell(spec, config, family, n, delta, s, scale,
+                           max_rounds);
   };
   return job;
 }
@@ -198,13 +136,9 @@ void BatchRunner::worker_loop() {
       try {
         r = job.run(job.seed);
       } catch (const std::exception& e) {
-        r.scale = job.scale;
-        r.status = RunStatus::kException;
-        r.check_reason = std::string("job threw: ") + e.what();
+        r = threw_run(job.scale, e.what());
       } catch (...) {
-        r.scale = job.scale;
-        r.status = RunStatus::kException;
-        r.check_reason = "job threw a non-std exception";
+        r = threw_run(job.scale, nullptr);
       }
       lock.lock();
       (*results)[i] = std::move(r);

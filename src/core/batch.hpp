@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -30,8 +29,6 @@
 #include "algo/registry.hpp"
 #include "core/experiment.hpp"
 #include "graph/tree.hpp"
-#include "local/engine.hpp"
-#include "problems/checkers.hpp"
 
 namespace lcl::core {
 
@@ -39,58 +36,50 @@ namespace lcl::core {
 /// measurement. Jobs must be self-contained (no shared mutable state); the
 /// runner may execute them on any thread in any order.
 struct BatchJob {
-  std::string label;
   double scale = 0.0;  ///< the sweep variable, copied into the result
   std::uint64_t seed = 0;
   std::function<MeasuredRun(std::uint64_t seed)> run;
 };
 
-/// Builds the instance for one job. Must not touch shared mutable state.
-using InstanceBuilder = std::function<graph::Tree(std::uint64_t seed)>;
-/// Creates the program that will run on the built instance.
-using ProgramFactory =
-    std::function<std::unique_ptr<local::Program>(const graph::Tree&)>;
-/// Verifies the run's outputs against the instance.
-using RunChecker = std::function<problems::CheckResult(
-    const graph::Tree&, const local::RunStats&)>;
+/// Dry-builds the named registry family (graph/families.hpp) at 8 nodes,
+/// so an unknown name or a degree bound the family cannot honour throws
+/// `std::invalid_argument` up front instead of failing every run.
+/// `delta` == 0 uses the family's default degree bound. The families'
+/// parameter checks do not depend on n, so the probe rejects the same
+/// (family, delta) pairs, with the same messages, as a full-size build.
+[[nodiscard]] graph::Tree probe_family(const std::string& family,
+                                       int delta);
 
-/// Composes the canonical (instance-builder, program-factory, checker)
-/// triple into a `BatchJob`: builds the tree, runs the program on a
-/// fresh `Engine`, checks the outputs, and fills in the `MeasuredRun`
-/// through `core::measure_run` (termination distribution included).
-/// Failures map onto the `RunStatus` taxonomy: a throwing builder yields
-/// `kBuildFailed`, a run that hits `max_rounds` yields `kTruncated` with
-/// censored partial stats (the checker is skipped), a rejected output
-/// yields `kCheckFailed`.
-[[nodiscard]] BatchJob make_job(
-    std::string label, double scale, std::uint64_t seed,
-    InstanceBuilder build, ProgramFactory make_program, RunChecker check,
+/// One certified registered-solver cell, the measurement every sweep
+/// point and every lcld solve is made of: builds the family instance at
+/// `n` with `seed` and applies the solver's declared input needs
+/// (`algo::prepare_instance`), both timed into `build_ms`; then runs
+/// `algo::run_registered` with `config.seed = seed` and fills the
+/// `MeasuredRun` through `core::measure_run`. A throwing build yields
+/// `kBuildFailed`; a run that hits `max_rounds` yields `kTruncated` with
+/// censored partial stats (certify is skipped); a rejected output yields
+/// `kCheckFailed`. Exceptions from the factory, the engine or certify
+/// propagate to the caller.
+[[nodiscard]] MeasuredRun run_solver_cell(
+    const algo::SolverSpec& spec, algo::SolverConfig config,
+    const std::string& family, graph::NodeId n, int delta,
+    std::uint64_t seed, double scale,
     std::int64_t max_rounds = std::numeric_limits<int>::max());
 
-/// Like `make_job`, but builds the instance from the named registry
-/// family (graph/families.hpp) at `n` nodes with the job seed, so any
-/// scenario can sweep any solver across any family by name. `delta` == 0
-/// uses the family's default degree bound.
-[[nodiscard]] BatchJob make_family_job(
-    std::string label, double scale, std::uint64_t seed,
-    std::string family, graph::NodeId n, int delta,
-    ProgramFactory make_program, RunChecker check,
-    std::int64_t max_rounds = std::numeric_limits<int>::max());
+/// The `kException` record of a run that threw: `what` is the
+/// exception's message, nullptr for a non-std exception.
+[[nodiscard]] MeasuredRun threw_run(double scale, const char* what);
 
-/// The fully registry-driven composition: instance from the named
-/// *family* registry entry, algorithm from the named *solver* registry
-/// entry (algo/registry.hpp). The job builds the family instance at `n`
-/// with the job seed, applies the solver's declared input needs
-/// (`algo::prepare_instance`), instantiates the solver through its
-/// factory with `config` (validated eagerly, so misconfigured sweeps
-/// fail at construction), runs it, and certifies the outputs with the
-/// solver's own checker binding — any solver on any compatible family
-/// through one code path.
+/// The registry-driven sweep job: validates both registry axes eagerly
+/// (unknown solver, out-of-range option, unknown or unsatisfiable
+/// family, and the factory's relational option checks on a probe
+/// instance), so misconfigured sweeps fail at construction instead of
+/// on a worker thread; the job then runs `run_solver_cell` with its
+/// seed.
 [[nodiscard]] BatchJob make_solver_job(
-    std::string label, double scale, std::uint64_t seed,
-    std::string solver, algo::SolverConfig config, std::string family,
-    graph::NodeId n, int delta,
-    std::int64_t max_rounds = std::numeric_limits<int>::max());
+    double scale, std::uint64_t seed, std::string solver,
+    algo::SolverConfig config, std::string family, graph::NodeId n,
+    int delta, std::int64_t max_rounds = std::numeric_limits<int>::max());
 
 struct BatchOptions {
   /// Worker count; 0 means `std::thread::hardware_concurrency()`.

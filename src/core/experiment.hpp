@@ -81,9 +81,9 @@ struct MeasuredRun {
   double node_averaged = 0.0; ///< mean over ok reps when aggregated
   std::int64_t worst_case = 0;
   std::int64_t n = 0;
-  double build_ms = -1.0;     ///< instance-construction wall time;
-                              ///< < 0 = not recorded (only make_job /
-                              ///< make_family_job-based jobs measure it)
+  double build_ms = -1.0;     ///< instance build + input preparation
+                              ///< wall time; < 0 = not recorded (only
+                              ///< run_solver_cell measures it)
   /// Defaults to kException: a record nobody filled in represents a
   /// production failure, never a silently-valid measurement.
   RunStatus status = RunStatus::kException;

@@ -6,7 +6,7 @@
 
 #include "algo/bw_generic.hpp"
 #include "algo/registry.hpp"
-#include "core/experiment.hpp"
+#include "core/batch.hpp"
 #include "core/json.hpp"
 #include "graph/families.hpp"
 
@@ -207,7 +207,6 @@ std::string Server::run_solve(const Request& req) {
   }
 
   algo::SolverConfig config;
-  config.seed = req.seed;
   for (const auto& [key, words] : req.options) {
     const algo::OptionSpec* opt = spec->find_option(key);
     if (opt == nullptr) {
@@ -237,12 +236,26 @@ std::string Server::run_solve(const Request& req) {
     run_spec.factory = [table](const graph::Tree& tree,
                                const algo::SolverConfig&)
         -> std::unique_ptr<local::Program> {
+      // The table forbids every node above its max_degree, so such an
+      // instance has no valid labeling: a request error, not a failed
+      // certificate.
+      if (tree.max_degree() > table.max_degree) {
+        throw ProtocolError(
+            ErrorCode::kBadRequest,
+            "instance max degree " + std::to_string(tree.max_degree()) +
+                " exceeds the problem's max_degree " +
+                std::to_string(table.max_degree) +
+                " (pass \"delta\" to cap the family's degree)");
+      }
       return std::make_unique<algo::BwGenericProgram>(tree, table);
     };
   }
+  const int delta = static_cast<int>(req.delta);
   try {
     algo::SolverConfig probe = config;
     probe.validate(run_spec);
+    // The family cannot honour the requested degree bound.
+    (void)core::probe_family(req.family, delta);
   } catch (const std::invalid_argument& e) {
     throw ProtocolError(ErrorCode::kBadRequest, e.what());
   }
@@ -251,28 +264,19 @@ std::string Server::run_solve(const Request& req) {
       req.max_rounds > 0 ? req.max_rounds : 8 * req.n + 4096;
   const auto n = static_cast<graph::NodeId>(req.n);
   // The solve runs on the calling thread, reusing its workspace and
-  // build arena. `r` starts unfilled (status `exception`), so a throw
-  // from the factory, the engine or certify only records its reason.
+  // build arena. A throw from the factory, the engine or certify only
+  // records its reason; a ProtocolError is the request's own fault.
   core::MeasuredRun r;
   try {
-    graph::Tree tree;
-    try {
-      tree = graph::make_family_instance(req.family, n, req.seed,
-                                         static_cast<int>(req.delta));
-    } catch (const std::invalid_argument& e) {
-      // The family cannot honour the requested degree bound.
-      throw ProtocolError(ErrorCode::kBadRequest, e.what());
-    }
-    algo::prepare_instance(tree, run_spec.needs, req.seed);
-    const algo::SolverRun run =
-        algo::run_registered(run_spec, tree, config, max_rounds);
-    r = core::measure_run(static_cast<double>(n), run.stats, run.verdict);
+    r = core::run_solver_cell(run_spec, std::move(config), req.family, n,
+                              delta, req.seed, static_cast<double>(n),
+                              max_rounds);
   } catch (const ProtocolError&) {
     throw;
   } catch (const std::exception& e) {
-    r.check_reason = std::string("job threw: ") + e.what();
+    r = core::threw_run(static_cast<double>(n), e.what());
   } catch (...) {
-    r.check_reason = "job threw a non-std exception";
+    r = core::threw_run(static_cast<double>(n), nullptr);
   }
 
   std::string out = envelope_prefix(req.has_id, req.id);

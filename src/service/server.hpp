@@ -20,9 +20,8 @@
 // Execution: every request runs to completion on the thread that
 // handles it — the caller of `handle_line`, or the worker that
 // dequeued it. A classify is one cache probe after warmup. A `solve`
-// builds the family instance, prepares its inputs, runs the registered
-// solver and certifies it, exactly as a bench sweep cell does, so
-// `threads` workers run up to `threads` solves at once. For
+// runs `core::run_solver_cell`, the function every bench sweep cell
+// runs, so `threads` workers run up to `threads` solves at once. For
 // table-driven solvers the program factory closes over the cache
 // entry's canonical table, so a warm solve skips sampling, stripping,
 // and canonicalization entirely.

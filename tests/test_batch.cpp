@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
+#include "algo/registry.hpp"
 #include "core/batch.hpp"
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
@@ -42,7 +44,6 @@ std::vector<BatchJob> make_stagger_jobs(int count) {
   std::vector<BatchJob> jobs;
   for (int i = 0; i < count; ++i) {
     BatchJob job;
-    job.label = "stagger-" + std::to_string(i);
     job.scale = 100.0 + i;
     job.seed = static_cast<std::uint64_t>(2 * i + 3);
     job.run = [i](std::uint64_t seed) {
@@ -109,7 +110,6 @@ TEST(BatchRunner, RepeatedRunsAreDeterministic) {
 TEST(BatchRunner, ThrowingJobYieldsInvalidRunAndBatchCompletes) {
   auto jobs = make_stagger_jobs(4);
   BatchJob bad;
-  bad.label = "bad";
   bad.scale = -1.0;
   bad.run = [](std::uint64_t) -> MeasuredRun {
     throw std::runtime_error("boom");
@@ -124,6 +124,22 @@ TEST(BatchRunner, ThrowingJobYieldsInvalidRunAndBatchCompletes) {
   EXPECT_TRUE(results[4].ok());
 }
 
+/// Wraps one `run_solver_cell` call as a batch job, so the cell runs on
+/// a pool worker exactly as a sweep cell does.
+BatchJob cell_job(const algo::SolverSpec& spec, std::string family,
+                  graph::NodeId n, std::uint64_t seed,
+                  std::int64_t max_rounds = 1 << 20) {
+  BatchJob job;
+  job.scale = static_cast<double>(n);
+  job.seed = seed;
+  job.run = [&spec, family = std::move(family), n,
+             max_rounds](std::uint64_t s) {
+    return core::run_solver_cell(spec, {}, family, n, /*delta=*/0, s,
+                                 static_cast<double>(n), max_rounds);
+  };
+  return job;
+}
+
 /// A run that hits max_rounds round-trips through the batch as a typed
 /// kTruncated record with censored partial stats — the job is a
 /// measurement, not an exception.
@@ -136,16 +152,13 @@ TEST(BatchRunner, TruncatedRunRoundTripsWithStatus) {
     }
   };
   bool checker_ran = false;
-  const BatchJob job = core::make_job(
-      "stall", 8.0, 1,
-      [](std::uint64_t) { return graph::make_path(8); },
-      [](const graph::Tree&) { return std::make_unique<AllButOneStall>(); },
+  const algo::SolverSpec spec = test::fake_spec<AllButOneStall>(
       [&checker_ran](const graph::Tree&, const local::RunStats&) {
         checker_ran = true;
         return problems::CheckResult::pass();
-      },
-      /*max_rounds=*/5);
-  const auto results = core::run_batch({job}, 1);
+      });
+  const auto results =
+      core::run_batch({cell_job(spec, "path", 8, 1, /*max_rounds=*/5)}, 1);
   ASSERT_EQ(results.size(), 1u);
   const MeasuredRun& r = results[0];
   EXPECT_EQ(r.status, core::RunStatus::kTruncated);
@@ -160,31 +173,29 @@ TEST(BatchRunner, TruncatedRunRoundTripsWithStatus) {
   EXPECT_EQ(r.reps_ok, 0);
 }
 
-/// A throwing instance builder is its own failure class.
+/// A throwing instance build is its own failure class: the program is
+/// never constructed, and the family's message is kept.
 TEST(BatchRunner, BuildFailureIsTyped) {
-  const BatchJob job = core::make_job(
-      "bad-build", 1.0, 0,
-      [](std::uint64_t) -> graph::Tree {
-        throw std::invalid_argument("bad generator parameters");
-      },
-      [](const graph::Tree&) -> std::unique_ptr<local::Program> {
-        ADD_FAILURE() << "program must not be constructed";
-        return nullptr;
-      },
-      [](const graph::Tree&, const local::RunStats&) {
-        return problems::CheckResult::pass();
-      });
-  const auto results = core::run_batch({job}, 1);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, core::RunStatus::kBuildFailed);
-  EXPECT_NE(results[0].check_reason.find("bad generator parameters"),
-            std::string::npos);
-  EXPECT_LT(results[0].build_ms, 0.0);  // never recorded
+  algo::SolverSpec spec;
+  spec.factory = [](const graph::Tree&, const algo::SolverConfig&)
+      -> std::unique_ptr<local::Program> {
+    ADD_FAILURE() << "program must not be constructed";
+    return nullptr;
+  };
+  // A path has no degree parameter, so an explicit delta cannot be
+  // honoured.
+  const MeasuredRun r = core::run_solver_cell(spec, {}, "path", 10,
+                                              /*delta=*/3, 0, 10.0);
+  EXPECT_EQ(r.status, core::RunStatus::kBuildFailed);
+  EXPECT_EQ(r.check_reason,
+            "instance build threw: path: family has no degree parameter");
+  EXPECT_DOUBLE_EQ(r.scale, 10.0);
+  EXPECT_LT(r.build_ms, 0.0);  // never recorded
 }
 
-TEST(BatchRunner, MakeJobComposesBuilderProgramChecker) {
-  // The canonical triple: build a path, 2-color it via a trivial
-  // parity-of-index program, verify with the real checker.
+TEST(BatchRunner, CellComposesFamilyProgramChecker) {
+  // A path 2-colored by a trivial parity-of-index program, verified with
+  // the real checker.
   class Parity final : public local::Program {
    public:
     void on_init(local::NodeCtx& ctx) override {
@@ -192,17 +203,11 @@ TEST(BatchRunner, MakeJobComposesBuilderProgramChecker) {
     }
     void on_round(local::NodeCtx&) override {}
   };
-  const BatchJob job = core::make_job(
-      "parity", 64.0, 7,
-      [](std::uint64_t) {
-        graph::Tree t = graph::make_path(64);
-        return t;
-      },
-      [](const graph::Tree&) { return std::make_unique<Parity>(); },
+  const algo::SolverSpec spec = test::fake_spec<Parity>(
       [](const graph::Tree& t, const local::RunStats& stats) {
         return problems::check_two_coloring(t, stats.primaries());
       });
-  const auto results = core::run_batch({job}, 2);
+  const auto results = core::run_batch({cell_job(spec, "path", 64, 7)}, 2);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].ok()) << results[0].check_reason;
   EXPECT_EQ(results[0].n, 64);
@@ -212,7 +217,7 @@ TEST(BatchRunner, MakeJobComposesBuilderProgramChecker) {
   EXPECT_EQ(results[0].term.p99, 0);
 }
 
-TEST(BatchRunner, MakeFamilyJobBuildsThroughTheRegistry) {
+TEST(BatchRunner, CellBuildsThroughTheFamilyRegistry) {
   // A do-nothing program (terminate at init) over registry families:
   // exercises family-by-name instance construction on worker threads,
   // including the per-thread arena, and the build-time recording.
@@ -221,15 +226,14 @@ TEST(BatchRunner, MakeFamilyJobBuildsThroughTheRegistry) {
     void on_init(local::NodeCtx& ctx) override { ctx.terminate(0); }
     void on_round(local::NodeCtx&) override {}
   };
+  const algo::SolverSpec spec = test::fake_spec<Immediate>(
+      [](const graph::Tree& t, const local::RunStats&) {
+        return t.is_tree() ? problems::CheckResult::pass()
+                           : problems::CheckResult::fail("not a tree");
+      });
   std::vector<BatchJob> jobs;
   for (const char* family : {"spider", "broom", "prufer", "galton_watson"}) {
-    jobs.push_back(core::make_family_job(
-        family, 200.0, 5, family, 200, /*delta=*/0,
-        [](const graph::Tree&) { return std::make_unique<Immediate>(); },
-        [](const graph::Tree& t, const local::RunStats&) {
-          return t.is_tree() ? problems::CheckResult::pass()
-                             : problems::CheckResult::fail("not a tree");
-        }));
+    jobs.push_back(cell_job(spec, family, 200, 5));
   }
   const auto results = core::run_batch(jobs, 2);
   ASSERT_EQ(results.size(), 4u);
@@ -238,22 +242,11 @@ TEST(BatchRunner, MakeFamilyJobBuildsThroughTheRegistry) {
     EXPECT_GE(r.n, 100);
     EXPECT_GE(r.build_ms, 0.0);
   }
-  // Misconfiguration fails at construction, not on a worker: unknown
-  // name, and a degree bound the family cannot honor.
-  const auto program = [](const graph::Tree&) {
-    return std::make_unique<Immediate>();
-  };
-  const auto pass = [](const graph::Tree&, const local::RunStats&) {
-    return problems::CheckResult::pass();
-  };
-  EXPECT_THROW(
-      (void)core::make_family_job("nope", 1.0, 0, "nope", 10, 0, program,
-                                  pass),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)core::make_family_job("path", 1.0, 0, "path", 10, /*delta=*/4,
-                                  program, pass),
-      std::invalid_argument);
+  // The family probe rejects misconfiguration up front: an unknown
+  // name, and a degree bound the family cannot honour.
+  EXPECT_THROW((void)core::probe_family("nope", 0), std::invalid_argument);
+  EXPECT_THROW((void)core::probe_family("path", /*delta=*/4),
+               std::invalid_argument);
 }
 
 TEST(BatchRunner, EmptyBatchAndThreadCount) {

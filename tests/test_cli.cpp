@@ -121,6 +121,34 @@ TEST(CliHardening, NonPositiveProblems) {
                      "lclbench: --problems expects a positive count");
 }
 
+TEST(CliHardening, ScaleMustBeFinitePositiveAndBounded) {
+  // Each of these used to run every point at the floor size and exit 0.
+  for (const char* bad : {"nan", "inf", "-1", "0", "1e300", "lots"}) {
+    expect_cli_failure({"--run", "cor60_gap", "--n", bad},
+                       std::string("lclbench: --n expects a scale in "
+                                   "\\(0, 1000\\], got '") +
+                           bad + "'");
+  }
+}
+
+TEST(CliHardening, RepsAndThreadsAreRangedIntegers) {
+  expect_cli_failure({"--threads", "2.7"},
+                     "lclbench: --threads expects an integer in "
+                     "\\[0, 1024\\], got '2.7'");
+  expect_cli_failure({"--threads", "-1"},
+                     "--threads expects an integer in \\[0, 1024\\]");
+  expect_cli_failure({"--threads", "99999999999"},
+                     "--threads expects an integer in \\[0, 1024\\]");
+  expect_cli_failure({"--reps", "0"},
+                     "lclbench: --reps expects an integer in "
+                     "\\[1, 1000000\\], got '0'");
+  expect_cli_failure({"--reps", "1.5"},
+                     "--reps expects an integer in \\[1, 1000000\\]");
+  expect_cli_failure({"--problems", "3x"},
+                     "lclbench: --problems expects a positive count, got "
+                     "'3x'");
+}
+
 TEST(CliHardening, NegativeSeedRejected) {
   expect_cli_failure(
       {"--seed", "-3"},

@@ -6,17 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "compare.hpp"
 #include "core/batch.hpp"
 #include "core/json.hpp"
-#include "graph/builders.hpp"
 #include "local/engine.hpp"
 #include "problems/checkers.hpp"
 #include "scenario.hpp"
+#include "test_util.hpp"
 
 namespace lcl {
 namespace {
@@ -48,14 +47,17 @@ TEST(RunSweep, FullyTruncatedPointKeepsCensoredStats) {
   opts.reps = 1;
   core::BatchRunner pool(core::BatchOptions{.threads = 1});
   bench::ScenarioContext ctx(opts, pool);
-  std::vector<core::BatchJob> jobs;
-  jobs.push_back(core::make_job(
-      "stall", 6.0, 3, [](std::uint64_t) { return graph::make_path(6); },
-      [](const graph::Tree&) { return std::make_unique<Stall>(); },
+  const algo::SolverSpec spec = test::fake_spec<Stall>(
       [](const graph::Tree&, const local::RunStats&) {
         return problems::CheckResult::pass();
-      },
-      /*max_rounds=*/4));
+      });
+  std::vector<core::BatchJob> jobs(1);
+  jobs[0].scale = 6.0;
+  jobs[0].seed = 3;
+  jobs[0].run = [&spec](std::uint64_t s) {
+    return core::run_solver_cell(spec, {}, "path", 6, /*delta=*/0, s, 6.0,
+                                 /*max_rounds=*/4);
+  };
   const auto points = ctx.run_sweep(std::move(jobs));
   ASSERT_EQ(points.size(), 1u);
   const core::MeasuredRun& p = points[0];
@@ -222,6 +224,25 @@ TEST(Compare, NodeAveragedDriftIsOptInAtMatchingScales) {
   EXPECT_EQ(compare_snapshots(old_path, new_path, gated), 1);
   gated.tol_avg = 1.0;
   EXPECT_EQ(compare_snapshots(old_path, new_path, gated), 0);
+}
+
+TEST(Compare, RunsAtOneScalePairInOrder) {
+  // problem_sweep series hold one run per family at each scale: the
+  // k-th run at a scale must pair with the k-th, not with the first.
+  const auto body = [](double second_avg) {
+    return "{\"schema\": \"lclbench-v3\", \"scenarios\": ["
+           "{\"name\": \"s1\", \"wall_ms\": 50, \"series\": ["
+           "{\"title\": \"t1\", \"fitted_exponent\": 0.5, \"runs\": ["
+           "{\"scale\": 10, \"node_averaged\": 2.0, \"status\": \"ok\"},"
+           "{\"scale\": 10, \"node_averaged\": " +
+           std::to_string(second_avg) + ", \"status\": \"ok\"}]}]}]}";
+  };
+  const std::string old_path = write_temp("rank_old.json", body(5.0));
+  CompareOptions gated;
+  gated.tol_avg = 1e-9;
+  EXPECT_EQ(compare_snapshots(old_path, old_path, gated), 0);
+  const std::string new_path = write_temp("rank_new.json", body(6.0));
+  EXPECT_EQ(compare_snapshots(old_path, new_path, gated), 1);
 }
 
 TEST(Compare, LostRunCoverageIsARegression) {

@@ -90,6 +90,28 @@ TEST(History, SustainedDriftUnderThePairwiseGateIsFlagged) {
             0);
 }
 
+TEST(History, RunsAtOneScaleAreTrackedSeparately) {
+  // Two runs at scale 10 (one per family, as in problem_sweep): the
+  // first is flat, the second drifts upward; the drift must be seen.
+  std::vector<std::string> paths;
+  for (const int step : {0, 1, 2}) {
+    std::string body = snapshot_body(
+        "2026-01-0" + std::to_string(step + 1) + "T00:00:00Z", 0.5, 2.0,
+        100, 2);
+    const std::string needle = "{\"scale\": 20, \"n\": 20, ";
+    body.replace(body.find(needle), needle.size(),
+                 "{\"scale\": 10, \"n\": 10, ");
+    const std::string avg = "\"node_averaged\": " + std::to_string(4.0);
+    body.replace(body.find(avg), avg.size(),
+                 "\"node_averaged\": " + std::to_string(4.0 + step));
+    paths.push_back(
+        write_temp("samescale" + std::to_string(step) + ".json", body));
+  }
+  HistoryOptions opts;
+  opts.tol_avg = 0.1;
+  EXPECT_EQ(history_snapshots(paths, opts), 1);
+}
+
 TEST(History, NoiseAroundALevelIsNotATrend) {
   // Same total excursion, but non-monotone: wobble, not drift.
   const std::vector<std::string> paths = {

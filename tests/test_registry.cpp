@@ -233,7 +233,7 @@ TEST(Registry, MakeSolverJobEndToEnd) {
   algo::SolverConfig cfg;
   cfg.set("k", 2);
   core::BatchJob job = core::make_solver_job(
-      "waug-prufer", /*scale=*/150.0, /*seed=*/77, "weight_aug", cfg,
+      /*scale=*/150.0, /*seed=*/77, "weight_aug", cfg,
       "prufer", /*n=*/150, /*delta=*/0);
   const core::MeasuredRun run = job.run(job.seed);
   EXPECT_EQ(run.status, core::RunStatus::kOk) << run.check_reason;
@@ -244,13 +244,13 @@ TEST(Registry, MakeSolverJobEndToEnd) {
   // Misconfiguration fails at construction, not on a worker thread.
   algo::SolverConfig bad;
   bad.set("k", 99);
-  EXPECT_THROW((void)core::make_solver_job("x", 1.0, 0, "weight_aug", bad,
+  EXPECT_THROW((void)core::make_solver_job(1.0, 0, "weight_aug", bad, "path",
+                                           64, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::make_solver_job(1.0, 0, "no_such_solver", {},
                                            "path", 64, 0),
                std::invalid_argument);
-  EXPECT_THROW((void)core::make_solver_job("x", 1.0, 0, "no_such_solver",
-                                           {}, "path", 64, 0),
-               std::invalid_argument);
-  EXPECT_THROW((void)core::make_solver_job("x", 1.0, 0, "weight_aug", {},
+  EXPECT_THROW((void)core::make_solver_job(1.0, 0, "weight_aug", {},
                                            "no_such_family", 64, 0),
                std::invalid_argument);
 }

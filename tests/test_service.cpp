@@ -35,7 +35,10 @@
 #include <thread>
 #include <vector>
 
+#include "algo/registry.hpp"
+#include "core/batch.hpp"
 #include "core/json.hpp"
+#include "graph/families.hpp"
 #include "problems/lclgen.hpp"
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
@@ -227,6 +230,27 @@ TEST(ServiceProtocol, UnsatisfiableFamilyDeltaIsBadRequest) {
             "bad_request");
 }
 
+TEST(ServiceProtocol, BwGenericDegreeAboveTableIsBadRequest) {
+  // Problem seed 2 is a max_degree-3 table; random_attach caps degrees
+  // at 4, so this instance has a node no labeling can satisfy. The
+  // request is at fault: a typed error naming both degrees.
+  Server server(ServerOptions{});
+  const std::string line =
+      "{\"type\":\"solve\",\"id\":5,\"solver\":\"bw_generic\","
+      "\"family\":\"random_attach\",\"problem_seed\":2,\"seed\":2,"
+      "\"n\":700";
+  EXPECT_EQ(server.handle_line(line + "}"),
+            "{\"id\":5,\"ok\":false,\"error\":\"bad_request\","
+            "\"detail\":\"instance max degree 4 exceeds the problem's "
+            "max_degree 3 (pass \\\"delta\\\" to cap the family's "
+            "degree)\"}");
+  // Capping the family at the table's degree makes it solvable.
+  const Value v = parse(server.handle_line(line + ",\"delta\":3}"));
+  EXPECT_EQ(v.get_string("status", ""), "ok");
+  EXPECT_TRUE(v.get_bool("certified", false));
+  EXPECT_EQ(v.get_number("n", 0), 700);
+}
+
 TEST(ServiceProtocol, IdIsEchoedWhenPresentAndOmittedWhenNot) {
   Server server(ServerOptions{});
   const std::string with_id =
@@ -305,6 +329,46 @@ TEST(ServiceRoundTrip, SolveThatThrowsReportsExceptionStatus) {
       "\"certified\":false,\"check_reason\":\"job threw: weight_aug: gamma "
       "must be 0 (auto) or >= 2, got 1\",\"node_averaged\":0,"
       "\"worst_case\":0,\"term_p50\":0,\"term_p90\":0,\"term_p99\":0}");
+}
+
+TEST(ServiceRoundTrip, SolveMatchesSweepCellForEverySolver) {
+  // A daemon solve and a bench sweep cell run the same cell function,
+  // so the same (solver, family, n, seed, max_rounds) must measure the
+  // same. bw_generic is left out: the daemon's factory closes over the
+  // cached canonical table instead of the registry's.
+  constexpr int kN = 512;
+  const std::int64_t max_rounds = 8 * kN + 4096;  // the daemon default
+  const graph::Family& family = *graph::find_family("random_attach");
+  Server server(ServerOptions{});
+  int compared = 0;
+  for (const algo::SolverSpec& spec : algo::registry()) {
+    if (spec.name == "bw_generic") continue;
+    if (spec.compatible && !spec.compatible(family)) continue;
+    for (const std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE(spec.name + " seed " + std::to_string(seed));
+      const Value v = parse(server.handle_line(
+          "{\"type\":\"solve\",\"solver\":\"" + spec.name +
+          "\",\"family\":\"random_attach\",\"n\":" + std::to_string(kN) +
+          ",\"seed\":" + std::to_string(seed) + "}"));
+      const core::BatchJob job = core::make_solver_job(
+          kN, seed, spec.name, {}, "random_attach", kN, /*delta=*/0,
+          max_rounds);
+      const core::MeasuredRun cell = job.run(job.seed);
+      EXPECT_EQ(v.get_string("status", ""), core::to_string(cell.status));
+      EXPECT_EQ(v.get_number("n", -1), static_cast<double>(cell.n));
+      EXPECT_EQ(v.get_number("node_averaged", -1), cell.node_averaged);
+      EXPECT_EQ(v.get_number("worst_case", -1),
+                static_cast<double>(cell.worst_case));
+      EXPECT_EQ(v.get_number("term_p50", -1),
+                static_cast<double>(cell.term.p50));
+      EXPECT_EQ(v.get_number("term_p90", -1),
+                static_cast<double>(cell.term.p90));
+      EXPECT_EQ(v.get_number("term_p99", -1),
+                static_cast<double>(cell.term.p99));
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 2 * 9);
 }
 
 TEST(ServiceRoundTrip, InfoReportsCounters) {

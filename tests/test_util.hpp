@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "algo/registry.hpp"
 #include "graph/builders.hpp"
 #include "graph/tree.hpp"
 #include "local/engine.hpp"
@@ -65,5 +68,24 @@ class StepCounter final : public local::Program {
   std::int64_t stepped_ = 0;
   std::vector<std::vector<std::int64_t>> steps_;
 };
+
+/// A test-local registry entry: `P` (default-constructed) is the
+/// program, `check` the certificate. Lets `core::run_solver_cell` run
+/// programs and checkers that no registered solver has.
+template <class P>
+algo::SolverSpec fake_spec(
+    std::function<problems::CheckResult(const graph::Tree&,
+                                        const local::RunStats&)>
+        check) {
+  algo::SolverSpec spec;
+  spec.name = "fake";
+  spec.factory = [](const graph::Tree&, const algo::SolverConfig&)
+      -> std::unique_ptr<local::Program> { return std::make_unique<P>(); };
+  spec.certify = [check = std::move(check)](
+                     const graph::Tree& tree, const local::Program&,
+                     const local::RunStats& stats,
+                     const algo::SolverConfig&) { return check(tree, stats); };
+  return spec;
+}
 
 }  // namespace lcl::test

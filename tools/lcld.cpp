@@ -19,9 +19,14 @@
 // reading stalls only its own connection. SIGTERM/SIGINT trigger a
 // graceful drain: stop accepting input, finish everything queued and
 // in flight, exit 0.
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -41,17 +46,42 @@ int usage(const char* argv0) {
       << "  --socket PATH     serve a Unix stream socket at PATH\n"
       << "  --tcp HOST:PORT   serve a TCP listener (PORT 0 ="
          " ephemeral)\n"
-      << "  --max-conns N     concurrent connection cap (default 256)\n"
-      << "  --pipeline N      per-connection in-flight request window"
-         " (default 32)\n"
-      << "  --cache-mb N      problem-cache byte budget in MiB"
-         " (default 64)\n"
-      << "  --threads N       workers; each runs its requests, solves"
-         " included (default 1)\n"
-      << "  --max-queue N     admission queue depth (default 256)\n"
+      << "  --max-conns N     concurrent connection cap, 1..65536"
+         " (default 256)\n"
+      << "  --pipeline N      per-connection in-flight request window,"
+         " 1..65536 (default 32)\n"
+      << "  --cache-mb N      problem-cache byte budget in MiB,"
+         " 0..1048576 (default 64)\n"
+      << "  --threads N       workers, 1..256; each runs its requests,"
+         " solves included (default 1)\n"
+      << "  --max-queue N     admission queue depth, 1..1048576"
+         " (default 256)\n"
       << "  --timeout-ms X    per-request queue-age limit;"
          " < 0 disables (default)\n";
   return 2;
+}
+
+// Parses all of `text` as a number in [lo, hi] (finite, for doubles);
+// on junk, a partial parse or a value out of range, prints a one-line
+// error naming the flag and returns false.
+template <class T>
+bool parse_flag(const std::string& flag, const char* text, T lo, T hi,
+                T& out) {
+  const std::string_view s(text);
+  T value{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  bool ok = ec == std::errc() && end == s.data() + s.size() &&
+            value >= lo && value <= hi;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::cerr << "lcld: " << flag << " expects "
+              << (std::is_floating_point_v<T> ? "a number" : "an integer")
+              << " in [" << lo << ", " << hi << "], got \"" << text
+              << "\"\n";
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 int run_stdio(lcl::service::Server& server) {
@@ -90,18 +120,24 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--max-conns" && has_value) {
-      topts.max_conns = std::stoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], 1, 1 << 16, topts.max_conns)) return 2;
     } else if (arg == "--pipeline" && has_value) {
-      topts.pipeline_depth = std::stoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], 1, 1 << 16, topts.pipeline_depth)) {
+        return 2;
+      }
     } else if (arg == "--cache-mb" && has_value) {
-      opts.cache_bytes =
-          static_cast<std::size_t>(std::stoll(argv[++i])) << 20;
+      std::size_t mb = 0;
+      if (!parse_flag<std::size_t>(arg, argv[++i], 0, 1 << 20, mb)) return 2;
+      opts.cache_bytes = mb << 20;
     } else if (arg == "--threads" && has_value) {
-      opts.threads = std::stoi(argv[++i]);
+      // Checked here, before the server starts any worker.
+      if (!parse_flag(arg, argv[++i], 1, 256, opts.threads)) return 2;
     } else if (arg == "--max-queue" && has_value) {
-      opts.max_queue = std::stoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], 1, 1 << 20, opts.max_queue)) return 2;
     } else if (arg == "--timeout-ms" && has_value) {
-      opts.timeout_ms = std::stod(argv[++i]);
+      if (!parse_flag(arg, argv[++i], -1e12, 1e12, opts.timeout_ms)) {
+        return 2;
+      }
     } else {
       return usage(argv[0]);
     }
